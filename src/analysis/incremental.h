@@ -21,7 +21,7 @@
 //
 //   cache.begin_snapshot(snapshot, graph);   // rebind address maps, prune
 //   κ-sweep with options.reuse = cache.kappa_hook();   // workers race here
-//   λ-sweep with options.reuse = cache.lambda_hook();  // concurrently: fine
+//   λ-sweep with options.reuse = cache.lambda_hook();  // and here
 //   cache.end_snapshot();                    // commit this sweep's stores
 //
 // During the sweeps, lookups read only the committed (frozen) store and

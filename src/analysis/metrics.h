@@ -5,8 +5,9 @@
 // study, plus Ferretti 2013) motivates: sampled edge connectivity λ,
 // strong/weak reachability fractions, articulation points and bridges, and
 // degree summaries. Each measure is a SnapshotMetric; the suite runs
-// per-snapshot on the shared exec::ThreadPool alongside the κ computation,
-// and core::ConnectivityAnalyzer folds the results into ResilienceSample.
+// per-snapshot after the κ sweep, across every lane of the shared
+// exec::ThreadPool, and core::ConnectivityAnalyzer folds the results into
+// ResilienceSample.
 //
 // Determinism contract: a metric is a pure function of the snapshot graph —
 // no RNG, no shared mutable state — and writes only the ResilienceMetrics

@@ -1,8 +1,6 @@
 #include "core/analyzer.h"
 
 #include <algorithm>
-#include <exception>
-#include <future>
 
 #include "exec/thread_pool.h"
 
@@ -51,55 +49,34 @@ ResilienceSample ConnectivityAnalyzer::analyze(const graph::RoutingSnapshot& sna
 
     // Cross-snapshot reuse: rebind the (lazily created) delta cache to this
     // snapshot and hand its hooks to both flow sweeps. Lookups only read the
-    // store committed by *previous* snapshots, so the κ/λ halves may still
-    // overlap freely below.
+    // store committed by *previous* snapshots.
     if (options_.use_delta && delta_ == nullptr) {
         delta_ = std::make_unique<analysis::SnapshotDeltaCache>();
     }
     if (delta_ != nullptr) delta_->begin_snapshot(snap, g);
 
-    // Fan the metric suite out alongside κ: one task computes the metrics
-    // (which run sequentially inside it — the task is already a pool lane)
-    // while this thread drives the κ flows across the remaining workers.
-    // Both halves are deterministic, so the overlap never changes a value.
-    const analysis::MetricContext context{
-        g,
-        options_.sample_c,
-        options_.min_sources,
-        pool,
-        options_.use_certificate,
-        delta_ != nullptr ? delta_->lambda_hook() : nullptr};
-    std::future<analysis::ResilienceMetrics> metrics_future;
-    if (pool != nullptr && !exec::ThreadPool::in_worker()) {
-        metrics_future =
-            pool->submit([&context] { return analysis::run_metrics(context); });
-    }
-
-    // The metrics task references this frame's graph, so it must be joined
-    // before any unwind: collect a κ failure, finish the wait, then rethrow.
+    // The κ sweep, then the metric suite, each fanned over every pool lane
+    // (λ, the suite's expensive first member, runs its flows on all of them
+    // while the structural metrics ride pool tasks). Both are deterministic,
+    // so the schedule never changes a value.
     flow::ConnectivityResult r;
-    std::exception_ptr error;
+    analysis::ResilienceMetrics metrics;
     try {
         r = analyze_graph(g, pool,
                           delta_ != nullptr ? delta_->kappa_hook() : nullptr);
+        metrics = analysis::run_metrics(analysis::MetricContext{
+            g, options_.sample_c, options_.min_sources, pool,
+            options_.use_certificate,
+            delta_ != nullptr ? delta_->lambda_hook() : nullptr});
     } catch (...) {
-        error = std::current_exception();
-    }
-    analysis::ResilienceMetrics metrics;
-    if (metrics_future.valid()) {
-        try {
-            metrics = pool->wait_get(metrics_future);
-        } catch (...) {
-            if (!error) error = std::current_exception();
-        }
-    } else if (!error) {
-        metrics = analysis::run_metrics(context);
+        // Commit even on failure: stored pairs are revalidated against
+        // whichever graph looks them up, so a partial sweep's stores are safe.
+        if (delta_ != nullptr) delta_->end_snapshot();
+        throw;
     }
     // Both sweeps have joined: commit this snapshot's witness stores so the
-    // next snapshot can reuse them (harmless on the error path — stored
-    // pairs are revalidated against whichever graph looks them up).
+    // next snapshot can reuse them.
     if (delta_ != nullptr) delta_->end_snapshot();
-    if (error) std::rethrow_exception(error);
 
     sample.kappa_min = r.kappa_min;
     sample.kappa_avg = r.kappa_avg;

@@ -2,7 +2,7 @@
 // directed connectivity graph → Even transformation → max-flow per vertex
 // pair → κ_min / κ_avg with the paper's c·n source sampling, plus the
 // analysis-layer metric suite (sampled edge connectivity λ, reachability
-// fractions, cut structure, degree floor) fanned out on the same pool.
+// fractions, cut structure, degree floor) run after κ on the same pool.
 #ifndef KADSIM_CORE_ANALYZER_H
 #define KADSIM_CORE_ANALYZER_H
 
@@ -97,10 +97,11 @@ class ConnectivityAnalyzer {
 public:
     explicit ConnectivityAnalyzer(AnalyzerOptions options) : options_(options) {}
 
-    /// Full pipeline on a routing snapshot: κ plus the metric suite. `pool`
-    /// (optional) runs the per-source flow jobs and the per-snapshot metrics
-    /// on a persistent execution pool instead of inline; results are
-    /// bit-identical either way. With options().use_delta, calls must not
+    /// Full pipeline on a routing snapshot: the κ sweep, then the metric
+    /// suite. `pool` (optional) spreads each of them over every lane of a
+    /// persistent execution pool — the flows as (source, sink block) items,
+    /// the structural metrics as tasks — instead of running inline; results
+    /// are bit-identical either way. With options().use_delta, calls must not
     /// overlap and snapshots must arrive in series order (the delta cache
     /// lives on this analyzer); without it, analyze is const-threadsafe.
     [[nodiscard]] ResilienceSample analyze(const graph::RoutingSnapshot& snap,

@@ -49,9 +49,9 @@ struct PartialResult {
     std::uint64_t pairs_reused = 0;
 };
 
-/// Evaluates every sink for the sources handed out by `cursor`, accumulating
-/// into a local result (returned by value; aggregation stays deterministic
-/// for any worker count).
+/// Evaluates every sink of the (source, sink block) items handed out by
+/// `cursor`, accumulating into a local result (returned by value;
+/// aggregation stays deterministic for any worker count).
 ///
 /// Degree-bound fast path: λ(u,v) ≤ min(out_degree(u), in_degree(v)) — every
 /// u→v path consumes a distinct out-edge of u and in-edge of v. A zero bound
@@ -79,19 +79,19 @@ struct PartialResult {
 /// bound.
 PartialResult worker(const graph::Digraph& gsel, const graph::Digraph& gflow,
                      const graph::Digraph& rev, const FlowNetwork& base,
-                     const std::vector<int>& sources,
+                     const SinkBlocks& items,
                      const std::vector<int>& in_degrees,
                      std::atomic<std::size_t>& cursor, PairReuseHook* reuse) {
     PartialResult result;
-    // Claim a source before paying for the private workspace: late jobs
+    // Claim an item before paying for the private workspace: late jobs
     // that find the cursor exhausted return without touching the network.
     std::size_t index = cursor.fetch_add(1, std::memory_order_relaxed);
-    if (index >= sources.size()) return result;
+    if (index >= items.size()) return result;
     FlowWorkspace workspace(base);
     Dinic dinic;
     const int n = gsel.vertex_count();
-    // Per-source adjacency position: adjacent_pos[v] = 1 + position of v in
-    // out(u), 0 if no edge — one fill per source replaces per-sink binary
+    // Per-item adjacency position: adjacent_pos[v] = 1 + position of v in
+    // out(u), 0 if no edge — one fill per item replaces per-sink binary
     // searches for the direct edge.
     std::vector<std::int64_t> adjacent_pos(static_cast<std::size_t>(n), 0);
     // Epoch-stamped membership in in(v) (no O(n) clear between pairs).
@@ -110,9 +110,9 @@ PartialResult worker(const graph::Digraph& gsel, const graph::Digraph& gflow,
         reach_stamp.assign(static_cast<std::size_t>(n), 0);
     }
     int epoch = 0;
-    for (; index < sources.size();
+    for (; index < items.size();
          index = cursor.fetch_add(1, std::memory_order_relaxed)) {
-        const int u = sources[index];
+        const auto [u, v_lo, v_hi] = items[index];
         const int out_degree = gsel.out_degree(u);
         const auto out_u = gflow.out(u);
         const std::int64_t offset_u = gflow.edge_offset(u);
@@ -120,7 +120,7 @@ PartialResult worker(const graph::Digraph& gsel, const graph::Digraph& gflow,
             adjacent_pos[static_cast<std::size_t>(out_u[i])] =
                 static_cast<std::int64_t>(i) + 1;
         }
-        for (int v = 0; v < n; ++v) {
+        for (int v = v_lo; v < v_hi; ++v) {
             if (v == u) continue;
             const int bound =
                 std::min(out_degree, in_degrees[static_cast<std::size_t>(v)]);
@@ -278,30 +278,32 @@ PartialResult worker(const graph::Digraph& gsel, const graph::Digraph& gflow,
     return result;
 }
 
-/// Evaluates every source on the pool (caller participates; worker jobs are
-/// non-blocking, so this is safe even on a busy shared pool). Aggregation is
-/// an integer min/sum over per-job locals: bit-identical for any job count.
+/// Evaluates every (source, sink block) item on the pool (caller
+/// participates; worker jobs are non-blocking, so this is safe even on a
+/// busy shared pool). Aggregation is an integer min/sum over per-job locals:
+/// bit-identical for any job count.
 PartialResult evaluate_sources(const graph::Digraph& gsel,
                                const graph::Digraph& gflow,
                                const graph::Digraph& rev, const FlowNetwork& base,
                                const std::vector<int>& sources,
                                const std::vector<int>& in_degrees,
                                PairReuseHook* reuse, exec::ThreadPool* pool) {
+    const SinkBlocks items(sources, gsel.vertex_count());
     std::atomic<std::size_t> cursor{0};
     // Re-entrant calls (a pool task computing connectivity on its own pool)
     // run inline: the calling thread is already one of the pool's lanes.
     if (pool == nullptr || exec::ThreadPool::in_worker()) {
-        return worker(gsel, gflow, rev, base, sources, in_degrees, cursor, reuse);
+        return worker(gsel, gflow, rev, base, items, in_degrees, cursor, reuse);
     }
 
-    const int jobs = std::min(pool->size(),
-                              std::max(0, static_cast<int>(sources.size()) - 1));
+    const auto jobs = std::min(static_cast<std::size_t>(pool->size()),
+                               std::max<std::size_t>(items.size(), 1) - 1);
     std::vector<std::future<PartialResult>> futures;
-    futures.reserve(static_cast<std::size_t>(jobs));
-    for (int i = 0; i < jobs; ++i) {
+    futures.reserve(jobs);
+    for (std::size_t i = 0; i < jobs; ++i) {
         futures.push_back(pool->submit(
-            [&gsel, &gflow, &rev, &base, &sources, &in_degrees, &cursor, reuse] {
-                return worker(gsel, gflow, rev, base, sources, in_degrees, cursor,
+            [&gsel, &gflow, &rev, &base, &items, &in_degrees, &cursor, reuse] {
+                return worker(gsel, gflow, rev, base, items, in_degrees, cursor,
                               reuse);
             }));
     }
@@ -311,7 +313,7 @@ PartialResult evaluate_sources(const graph::Digraph& gsel,
     std::exception_ptr error;
     PartialResult combined;
     try {
-        combined = worker(gsel, gflow, rev, base, sources, in_degrees, cursor,
+        combined = worker(gsel, gflow, rev, base, items, in_degrees, cursor,
                           reuse);
     } catch (...) {
         error = std::current_exception();

@@ -38,8 +38,9 @@ struct EdgeConnectivityOptions {
     double sample_fraction = 1.0;
     /// Lower bound on the number of sampled sources.
     int min_sources = 1;
-    /// Execution engine for the per-source flow jobs (each job shares the
-    /// immutable unit-capacity network and owns a private workspace).
+    /// Execution engine for the flow jobs, which claim (source, sink block)
+    /// items (flow/sampling.h); each job shares the immutable unit-capacity
+    /// network and owns a private workspace.
     /// nullptr = inline on the caller; results are bit-identical either way.
     exec::ThreadPool* pool = nullptr;
     /// Run the flows on a Nagamochi–Ibaraki sparse certificate of the graph

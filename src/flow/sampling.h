@@ -6,7 +6,8 @@
 // out-degree as sources (against all sinks), and the weakest vertices pin
 // the minimum. Extracted from vertex_connectivity.cpp verbatim when the edge
 // connectivity kernel arrived; the selection is deterministic (ties by
-// index), which the golden-series tests rely on.
+// index), which the golden-series tests rely on. Both kernels also split
+// their sweep into the same (source, sink block) work items, defined here.
 #ifndef KADSIM_FLOW_SAMPLING_H
 #define KADSIM_FLOW_SAMPLING_H
 
@@ -52,6 +53,46 @@ inline std::vector<int> pick_smallest_out_degree_sources(const graph::Digraph& g
     std::sort(order.begin(), order.end(), by_degree_then_index);
     return order;
 }
+
+/// Sinks per work item of a sampled sweep. A c = 0.02 sample of a few
+/// hundred vertices has only a handful of sources, too few to keep a pool
+/// busy, so the sweeps hand out (source, sink block) items instead of whole
+/// sources. A fixed constant: 64 pairs of flow dwarf the per-item set-up.
+inline constexpr int kSinkBlock = 64;
+
+/// One work item: `source` against the sinks [v_lo, v_hi).
+struct SinkBlock {
+    int source = 0;
+    int v_lo = 0;
+    int v_hi = 0;
+};
+
+/// The work items of a sweep over `sources` × all n sinks. With
+/// B = ⌈n / kSinkBlock⌉ blocks per source, item i is source sources[i / B]
+/// against sinks [(i % B)·kSinkBlock, min(n, (i % B + 1)·kSinkBlock)), so
+/// walking the items in index order visits the source-major pair order of
+/// the plain nested loop.
+class SinkBlocks {
+public:
+    SinkBlocks(const std::vector<int>& sources, int n)
+        : sources_(sources),
+          n_(n),
+          per_source_(static_cast<std::size_t>((n + kSinkBlock - 1) / kSinkBlock)) {}
+
+    [[nodiscard]] std::size_t size() const noexcept {
+        return sources_.size() * per_source_;
+    }
+
+    [[nodiscard]] SinkBlock operator[](std::size_t i) const {
+        const int v_lo = static_cast<int>(i % per_source_) * kSinkBlock;
+        return {sources_[i / per_source_], v_lo, std::min(n_, v_lo + kSinkBlock)};
+    }
+
+private:
+    const std::vector<int>& sources_;
+    int n_;
+    std::size_t per_source_;
+};
 
 }  // namespace kadsim::flow
 

@@ -48,9 +48,10 @@ struct PartialResult {
     std::uint64_t workspace_bytes = 0;
 };
 
-/// Evaluates all non-adjacent sinks for the sources handed out by `cursor`,
-/// accumulating into a local result (returned by value, so concurrent
-/// workers never write adjacent slots of a shared vector mid-flow).
+/// Evaluates the non-adjacent sinks of every (source, sink block) item
+/// handed out by `cursor`, accumulating into a local result (returned by
+/// value, so concurrent workers never write adjacent slots of a shared
+/// vector mid-flow).
 ///
 /// Degree-bound fast path: κ(u,v) ≤ min(out_degree(u), in_degree(v)) — every
 /// u→v path consumes a distinct out-edge of u and in-edge of v. A zero bound
@@ -92,22 +93,22 @@ struct PartialResult {
 /// certificate order (graph/certificate.h).
 PartialResult worker(const graph::Digraph& gsel, const graph::Digraph& gflow,
                      const graph::Digraph& rev, const FlowNetwork& base,
-                     const std::vector<int>& sources,
+                     const SinkBlocks& items,
                      const std::vector<int>& in_degrees,
                      std::atomic<std::size_t>& cursor, bool use_push_relabel,
                      PairReuseHook* reuse) {
     PartialResult result;
-    // Claim a source before paying for the private workspace: late jobs
+    // Claim an item before paying for the private workspace: late jobs
     // that find the cursor exhausted return without touching the network.
     std::size_t index = cursor.fetch_add(1, std::memory_order_relaxed);
-    if (index >= sources.size()) return result;
+    if (index >= items.size()) return result;
     // The base network is shared read-only; the workspace holds this
     // worker's residual capacities, undo log and solver scratch.
     FlowWorkspace workspace(base);
     Dinic dinic;
     PushRelabel push_relabel;
     const int n = gsel.vertex_count();
-    // Per-source adjacency bitmap: filled in O(out-degree) when a source is
+    // Per-item adjacency bitmap: filled in O(out-degree) when an item is
     // claimed, replacing the per-sink has_edge binary search.
     std::vector<char> adjacent(static_cast<std::size_t>(n), 0);
     // Epoch-stamped per-pair sets (no O(n) clear between pairs): membership
@@ -133,14 +134,14 @@ PartialResult worker(const graph::Digraph& gsel, const graph::Digraph& gflow,
         cut_stamp.assign(static_cast<std::size_t>(n), 0);
     }
     int epoch = 0;
-    for (; index < sources.size();
+    for (; index < items.size();
          index = cursor.fetch_add(1, std::memory_order_relaxed)) {
-        const int u = sources[index];
+        const auto [u, v_lo, v_hi] = items[index];
         const int out_degree = gsel.out_degree(u);
         const auto out_u = gflow.out(u);
         const std::int64_t offset_u = gflow.edge_offset(u);
         for (const int w : gsel.out(u)) adjacent[static_cast<std::size_t>(w)] = 1;
-        for (int v = 0; v < n; ++v) {
+        for (int v = v_lo; v < v_hi; ++v) {
             if (v == u || adjacent[static_cast<std::size_t>(v)] != 0) continue;
             const int bound = std::min(out_degree, in_degrees[static_cast<std::size_t>(v)]);
             int kappa = 0;
@@ -352,9 +353,10 @@ PartialResult worker(const graph::Digraph& gsel, const graph::Digraph& gflow,
     return result;
 }
 
-/// Evaluates every source on the pool (caller participates; worker jobs are
-/// non-blocking, so this is safe even on a busy shared pool). Aggregation is
-/// an integer min/sum over per-job locals: bit-identical for any job count.
+/// Evaluates every (source, sink block) item on the pool (caller
+/// participates; worker jobs are non-blocking, so this is safe even on a
+/// busy shared pool). Aggregation is an integer min/sum over per-job locals:
+/// bit-identical for any job count.
 PartialResult evaluate_sources(const graph::Digraph& gsel,
                                const graph::Digraph& gflow,
                                const graph::Digraph& rev, const FlowNetwork& base,
@@ -362,25 +364,26 @@ PartialResult evaluate_sources(const graph::Digraph& gsel,
                                const std::vector<int>& in_degrees,
                                bool use_push_relabel, PairReuseHook* reuse,
                                exec::ThreadPool* pool) {
+    const SinkBlocks items(sources, gsel.vertex_count());
     std::atomic<std::size_t> cursor{0};
     // Re-entrant calls (a pool task computing connectivity on its own pool)
     // run inline: the calling thread is already one of the pool's lanes.
     if (pool == nullptr || exec::ThreadPool::in_worker()) {
-        return worker(gsel, gflow, rev, base, sources, in_degrees, cursor,
+        return worker(gsel, gflow, rev, base, items, in_degrees, cursor,
                       use_push_relabel, reuse);
     }
 
-    // The caller is a lane too, so more than sources-1 helper jobs can never
+    // The caller is a lane too, so more than items-1 helper jobs can never
     // all claim work.
-    const int jobs = std::min(pool->size(),
-                              std::max(0, static_cast<int>(sources.size()) - 1));
+    const auto jobs = std::min(static_cast<std::size_t>(pool->size()),
+                               std::max<std::size_t>(items.size(), 1) - 1);
     std::vector<std::future<PartialResult>> futures;
-    futures.reserve(static_cast<std::size_t>(jobs));
-    for (int i = 0; i < jobs; ++i) {
-        futures.push_back(pool->submit([&gsel, &gflow, &rev, &base, &sources,
+    futures.reserve(jobs);
+    for (std::size_t i = 0; i < jobs; ++i) {
+        futures.push_back(pool->submit([&gsel, &gflow, &rev, &base, &items,
                                         &in_degrees, &cursor, use_push_relabel,
                                         reuse] {
-            return worker(gsel, gflow, rev, base, sources, in_degrees, cursor,
+            return worker(gsel, gflow, rev, base, items, in_degrees, cursor,
                           use_push_relabel, reuse);
         }));
     }
@@ -390,7 +393,7 @@ PartialResult evaluate_sources(const graph::Digraph& gsel,
     std::exception_ptr error;
     PartialResult combined;
     try {
-        combined = worker(gsel, gflow, rev, base, sources, in_degrees, cursor,
+        combined = worker(gsel, gflow, rev, base, items, in_degrees, cursor,
                           use_push_relabel, reuse);
     } catch (...) {
         error = std::current_exception();

@@ -36,8 +36,9 @@ struct ConnectivityOptions {
     double sample_fraction = 1.0;
     /// Lower bound on the number of sampled sources.
     int min_sources = 1;
-    /// Execution engine for the per-source flow jobs (each job shares the
-    /// immutable transformed network and owns a private workspace). nullptr =
+    /// Execution engine for the flow jobs, which claim (source, sink block)
+    /// items (flow/sampling.h); each job shares the immutable transformed
+    /// network and owns a private workspace. nullptr =
     /// inline on the caller; results are bit-identical either way (integer
     /// min/sum aggregation).
     exec::ThreadPool* pool = nullptr;

@@ -69,7 +69,8 @@ struct DaemonConfig {
     /// Root of the on-disk result cache and snapshot spool ("" disables
     /// both; evicted hot state is then only rebuildable from source files).
     std::string cache_dir;
-    /// Flow-sweep parallelism inside the single analysis worker.
+    /// Pool size for the κ sweep and metric suite of the single analysis
+    /// worker, which joins the pool as one extra lane; 1 = no pool.
     int analysis_threads = 1;
     /// Hot-state LRU capacity (entries, each holding a finalized witness
     /// network — the dominant resident cost).

@@ -1,8 +1,12 @@
 // Connectivity analyzer: snapshot → κ pipeline on synthetic inputs.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "core/analyzer.h"
 #include "exec/thread_pool.h"
+#include "util/rng.h"
 
 namespace kadsim::core {
 namespace {
@@ -117,24 +121,52 @@ TEST(ConnectivityAnalyzer, AsymmetricTablesLowerReciprocity) {
     EXPECT_GT(sample.reciprocity, 0.5);
 }
 
+graph::RoutingSnapshot random_snapshot(int n, std::uint64_t seed) {
+    // Each node links ~5 random others (addresses 10..10+n-1); sparse
+    // enough that most sampled pairs need a real flow run.
+    util::Rng rng(seed);
+    graph::RoutingSnapshot snap;
+    snap.time_ms = 90 * 60000;
+    for (int i = 0; i < n; ++i) {
+        graph::SnapshotNode node{static_cast<std::uint32_t>(10 + i), {}};
+        for (int j = 0; j < 5; ++j) {
+            const auto peer = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(n)));
+            if (peer != i) node.contacts.push_back(static_cast<std::uint32_t>(10 + peer));
+        }
+        snap.nodes.push_back(node);
+    }
+    return snap;
+}
+
 TEST(ConnectivityAnalyzer, PooledAnalysisMatchesInline) {
-    const ConnectivityAnalyzer analyzer(exact_options());
-    const auto snap = ring_snapshot(12);
+    // The ring is exact and tiny; the n = 130 snapshot is sampled, so each
+    // source's sinks split into three 64-sink work items across the lanes.
+    AnalyzerOptions sampled;
+    sampled.sample_c = 0.05;
+    const std::pair<AnalyzerOptions, graph::RoutingSnapshot> cases[] = {
+        {exact_options(), ring_snapshot(12)}, {sampled, random_snapshot(130, 7)}};
     exec::ThreadPool pool(3);
-    const auto pooled = analyzer.analyze(snap, &pool);
-    const auto inline_sample = analyzer.analyze(snap);
-    EXPECT_EQ(pooled.kappa_min, inline_sample.kappa_min);
-    EXPECT_DOUBLE_EQ(pooled.kappa_avg, inline_sample.kappa_avg);
-    EXPECT_EQ(pooled.pairs_evaluated, inline_sample.pairs_evaluated);
-    // The metric suite (fanned out alongside κ on the pool) is bit-identical
-    // to the inline run too.
-    EXPECT_EQ(pooled.lambda_min, inline_sample.lambda_min);
-    EXPECT_DOUBLE_EQ(pooled.lambda_avg, inline_sample.lambda_avg);
-    EXPECT_DOUBLE_EQ(pooled.scc_frac, inline_sample.scc_frac);
-    EXPECT_DOUBLE_EQ(pooled.wcc_frac, inline_sample.wcc_frac);
-    EXPECT_EQ(pooled.articulation_points, inline_sample.articulation_points);
-    EXPECT_EQ(pooled.bridges, inline_sample.bridges);
-    EXPECT_EQ(pooled.kappa_degree_gap, inline_sample.kappa_degree_gap);
+    for (const auto& [options, snap] : cases) {
+        SCOPED_TRACE("n=" + std::to_string(snap.nodes.size()));
+        const ConnectivityAnalyzer analyzer(options);
+        const auto pooled = analyzer.analyze(snap, &pool);
+        const auto inline_sample = analyzer.analyze(snap);
+        EXPECT_EQ(pooled.kappa_min, inline_sample.kappa_min);
+        EXPECT_DOUBLE_EQ(pooled.kappa_avg, inline_sample.kappa_avg);
+        EXPECT_EQ(pooled.pairs_evaluated, inline_sample.pairs_evaluated);
+        // The metric suite (run after κ, its λ flows and structural metrics
+        // spread over the pool) is bit-identical to the inline run too.
+        EXPECT_EQ(pooled.lambda_min, inline_sample.lambda_min);
+        EXPECT_DOUBLE_EQ(pooled.lambda_avg, inline_sample.lambda_avg);
+        EXPECT_EQ(pooled.scc_count, inline_sample.scc_count);
+        EXPECT_DOUBLE_EQ(pooled.scc_frac, inline_sample.scc_frac);
+        EXPECT_DOUBLE_EQ(pooled.wcc_frac, inline_sample.wcc_frac);
+        EXPECT_EQ(pooled.articulation_points, inline_sample.articulation_points);
+        EXPECT_EQ(pooled.bridges, inline_sample.bridges);
+        EXPECT_EQ(pooled.out_degree_min, inline_sample.out_degree_min);
+        EXPECT_EQ(pooled.in_degree_min, inline_sample.in_degree_min);
+        EXPECT_EQ(pooled.kappa_degree_gap, inline_sample.kappa_degree_gap);
+    }
 }
 
 TEST(ConnectivityAnalyzer, SampledModeEvaluatesFewerPairs) {

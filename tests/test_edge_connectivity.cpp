@@ -1,39 +1,27 @@
 // Edge connectivity λ: randomized differential testing of the unit-capacity
 // kernel (degree-capped, path-seeded Dinic over a reused touched-arc-reset
 // workspace) against a brute-force min-edge-cut oracle, plus workspace-reuse
-// purity (fresh vs reused workspace bit-identical).
+// purity (fresh vs reused workspace bit-identical) and lane-count invariance
+// of the pooled (source, sink block) sweep.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "exec/thread_pool.h"
 #include "flow/edge_connectivity.h"
 #include "graph/digraph.h"
-#include "util/rng.h"
+#include "sweep_fixtures.h"
 
 namespace kadsim::flow {
 namespace {
 
-/// Kademlia-like connectivity graph at tiny n: target out-degree `deg`,
-/// mostly reciprocated edges (same shape as the micro-bench generator).
-graph::Digraph kademlia_like_graph(int n, int deg, std::uint64_t seed) {
-    util::Rng rng(seed);
-    graph::Digraph g(n);
-    for (int u = 0; u < n; ++u) {
-        for (int j = 0; j < deg; ++j) {
-            const int v = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(n)));
-            if (v == u) continue;
-            g.add_edge(u, v);
-            if (rng.next_bool(0.9)) g.add_edge(v, u);
-        }
-    }
-    g.finalize();
-    return g;
-}
+using test_support::kademlia_like_graph;
+using test_support::TableReuseHook;
 
 // 100 seeded graphs: every ordered pair must agree between the kernel's
 // seeded+capped path (exercised through edge_connectivity at
@@ -141,20 +129,65 @@ TEST(EdgeConnectivityNetwork, ArcIdContract) {
     }
 }
 
-// Pool fan-out aggregates bit-identically to the inline path (integer
-// min/sum per worker, fixed-order combination).
+void expect_same_sweep(const EdgeConnectivityResult& a,
+                       const EdgeConnectivityResult& b) {
+    EXPECT_EQ(a.n, b.n);
+    EXPECT_EQ(a.m, b.m);
+    EXPECT_EQ(a.lambda_min, b.lambda_min);
+    EXPECT_EQ(a.lambda_avg, b.lambda_avg);
+    EXPECT_EQ(a.lambda_sum, b.lambda_sum);
+    EXPECT_EQ(a.pairs_evaluated, b.pairs_evaluated);
+    EXPECT_EQ(a.pairs_skipped, b.pairs_skipped);
+    EXPECT_EQ(a.flows_capped, b.flows_capped);
+    EXPECT_EQ(a.pairs_reused, b.pairs_reused);
+    EXPECT_EQ(a.sources_used, b.sources_used);
+    EXPECT_EQ(a.complete, b.complete);
+}
+
+// The pooled sweep hands out (source, 64-sink block) items, so at these n
+// — straddling the block edges — one source's sinks are split over lanes.
+// Every field must equal the inline sweep's on pools of 1/2/3/7 workers,
+// with and without a reuse hook, and the hook must receive the same stores.
 TEST(EdgeConnectivityExecution, PooledMatchesInline) {
-    const graph::Digraph g = kademlia_like_graph(48, 4, 11);
-    const EdgeConnectivityResult inline_result = edge_connectivity(g);
-    exec::ThreadPool pool(3);
-    EdgeConnectivityOptions options;
-    options.pool = &pool;
-    const EdgeConnectivityResult pooled = edge_connectivity(g, options);
-    EXPECT_EQ(pooled.lambda_min, inline_result.lambda_min);
-    EXPECT_EQ(pooled.lambda_sum, inline_result.lambda_sum);
-    EXPECT_EQ(pooled.pairs_evaluated, inline_result.pairs_evaluated);
-    EXPECT_EQ(pooled.pairs_skipped, inline_result.pairs_skipped);
-    EXPECT_EQ(pooled.flows_capped, inline_result.flows_capped);
+    for (const int n : {2, 63, 64, 65, 130, 300}) {
+        SCOPED_TRACE("n=" + std::to_string(n));
+        // At n = 2 a single edge keeps the graph non-complete (a complete
+        // graph short-circuits the sweep).
+        graph::Digraph two(2);
+        two.add_edge(0, 1);
+        two.finalize();
+        const graph::Digraph g =
+            n == 2 ? two : kademlia_like_graph(n, 4, static_cast<std::uint64_t>(n));
+        EdgeConnectivityOptions options;
+        // Four sources at every n, as few as a c = 0.02 sample yields.
+        options.sample_fraction = 0.01;
+        options.min_sources = 4;
+        // An inline run records the stores; the checked sweeps then reuse
+        // every third of them and recompute the rest.
+        TableReuseHook recorder;
+        options.reuse = &recorder;
+        (void)edge_connectivity(g, options);
+        const auto table = recorder.every_third_store();
+        for (const bool with_hook : {false, true}) {
+            SCOPED_TRACE(with_hook ? "with hook" : "no hook");
+            TableReuseHook inline_hook(table);
+            options.pool = nullptr;
+            options.reuse = with_hook ? &inline_hook : nullptr;
+            const EdgeConnectivityResult expected = edge_connectivity(g, options);
+            if (with_hook && n > 2) {
+                EXPECT_GT(expected.pairs_reused, 0u);
+            }
+            for (const int workers : {1, 2, 3, 7}) {
+                SCOPED_TRACE("workers=" + std::to_string(workers));
+                exec::ThreadPool pool(workers);
+                TableReuseHook hook(table);
+                options.pool = &pool;
+                options.reuse = with_hook ? &hook : nullptr;
+                expect_same_sweep(expected, edge_connectivity(g, options));
+                EXPECT_EQ(hook.sorted_stores(), inline_hook.sorted_stores());
+            }
+        }
+    }
 }
 
 TEST(EdgeConnectivityEdgeCases, TrivialAndCompleteGraphs) {

@@ -128,6 +128,44 @@ TEST(ServeDaemon, MetricsRowsAreByteIdenticalToOfflineAnalyzer) {
     daemon.stop();
 }
 
+// The path the shipped daemon runs: a 3-worker analysis pool with delta
+// reuse on, over a churning n ≥ 130 series whose sources span several
+// 64-sink work items. Rows must still match the offline delta-off analyzer
+// byte for byte.
+TEST(ServeDaemon, PooledDeltaRowsAreByteIdenticalToOfflineAnalyzer) {
+    scen::ScenarioConfig scenario;
+    scenario.name = "daemon-pooled-test";
+    scenario.initial_size = 136;
+    scenario.seed = 23;
+    scenario.kad.k = 8;
+    scenario.kad.s = 1;
+    scenario.fault.churn = scen::ChurnSpec{2, 2};
+    scenario.phases.stabilization_end = sim::minutes(40);
+    scenario.phases.set_end(sim::minutes(45));
+    scen::Runner runner(scenario);
+
+    auto config = test_config();
+    config.analysis_threads = 3;
+    config.analyzer.use_delta = true;
+    serve::Daemon daemon(std::move(config));
+    daemon.start();
+    core::AnalyzerOptions offline = daemon.config().analyzer;
+    offline.use_delta = false;
+    for (int minute = 41; minute <= 45; ++minute) {
+        runner.step_to(sim::minutes(minute));
+        const std::string bytes = to_text(runner.snapshot());
+        const std::string hash =
+            hash_of(daemon.ingest_bytes(bytes, "minute-" + std::to_string(minute)));
+        const std::string response = daemon.handle_request("METRICS " + hash);
+        ASSERT_TRUE(response.starts_with("OK ")) << response;
+        const auto sample = offline_analyze(bytes, offline);
+        EXPECT_GE(sample.n, 130);
+        EXPECT_EQ(response.substr(3), serve::ResultCache::format_sample_row(sample))
+            << "pooled delta row diverged from offline analyzer at minute " << minute;
+    }
+    daemon.stop();
+}
+
 TEST(ServeDaemon, TextAndBinaryOfSameSnapshotShareContentHash) {
     const auto snaps = capture_series();
     serve::Daemon daemon(test_config());

@@ -1,10 +1,14 @@
 // Vertex connectivity κ: known graphs, brute-force oracle, sampling
-// soundness (paper §4.4 and §5.2).
+// soundness (paper §4.4 and §5.2), and lane-count invariance of the pooled
+// (source, sink block) sweep.
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "exec/thread_pool.h"
 #include "flow/vertex_connectivity.h"
 #include "graph/digraph.h"
+#include "sweep_fixtures.h"
 #include "util/rng.h"
 
 namespace kadsim::flow {
@@ -223,26 +227,6 @@ TEST(VertexConnectivity, SmallestOutDegreeSamplingFindsMinimumOnNearUndirected) 
     EXPECT_EQ(vertex_connectivity(h).kappa_min, 1);
 }
 
-TEST(VertexConnectivity, PooledMatchesInline) {
-    util::Rng rng(45);
-    graph::Digraph g(24);
-    for (int u = 0; u < 24; ++u) {
-        for (int v = 0; v < 24; ++v) {
-            if (u != v && rng.next_bool(0.25)) g.add_edge(u, v);
-        }
-    }
-    g.finalize();
-    const ConnectivityOptions inline_opts;
-    exec::ThreadPool pool(4);
-    ConnectivityOptions pooled_opts;
-    pooled_opts.pool = &pool;
-    const auto a = vertex_connectivity(g, inline_opts);
-    const auto b = vertex_connectivity(g, pooled_opts);
-    EXPECT_EQ(a.kappa_min, b.kappa_min);
-    EXPECT_EQ(a.kappa_sum, b.kappa_sum);
-    EXPECT_EQ(a.pairs_evaluated, b.pairs_evaluated);
-}
-
 TEST(VertexConnectivity, PoolIsReusableAcrossSnapshots) {
     // The experiment pipeline hands the same pool to every snapshot's
     // analysis; three consecutive computations must agree with inline runs.
@@ -262,6 +246,70 @@ TEST(VertexConnectivity, PoolIsReusableAcrossSnapshots) {
         const auto inline_result = vertex_connectivity(g);
         EXPECT_EQ(pooled.kappa_min, inline_result.kappa_min) << "round " << round;
         EXPECT_EQ(pooled.kappa_sum, inline_result.kappa_sum) << "round " << round;
+    }
+}
+
+void expect_same_sweep(const ConnectivityResult& a, const ConnectivityResult& b) {
+    EXPECT_EQ(a.n, b.n);
+    EXPECT_EQ(a.m, b.m);
+    EXPECT_EQ(a.kappa_min, b.kappa_min);
+    EXPECT_EQ(a.kappa_avg, b.kappa_avg);
+    EXPECT_EQ(a.kappa_sum, b.kappa_sum);
+    EXPECT_EQ(a.pairs_evaluated, b.pairs_evaluated);
+    EXPECT_EQ(a.pairs_skipped, b.pairs_skipped);
+    EXPECT_EQ(a.flows_capped, b.flows_capped);
+    EXPECT_EQ(a.arcs_touched, b.arcs_touched);
+    EXPECT_EQ(a.full_resets_avoided, b.full_resets_avoided);
+    EXPECT_EQ(a.pairs_reused, b.pairs_reused);
+    EXPECT_EQ(a.sources_used, b.sources_used);
+    EXPECT_EQ(a.complete, b.complete);
+}
+
+// The pooled sweep hands out (source, 64-sink block) items, so at these n
+// — straddling the block edges — one source's sinks are split over lanes.
+// Every field must equal the inline sweep's on pools of 1/2/3/7 workers,
+// with and without a reuse hook, and the hook must receive the same stores.
+TEST(VertexConnectivity, PooledMatchesInline) {
+    for (const int n : {2, 63, 64, 65, 130, 300}) {
+        SCOPED_TRACE("n=" + std::to_string(n));
+        // At n = 2 a single edge keeps the graph non-complete (a complete
+        // graph short-circuits the sweep).
+        graph::Digraph two(2);
+        two.add_edge(0, 1);
+        two.finalize();
+        const graph::Digraph g =
+            n == 2 ? two
+                   : test_support::kademlia_like_graph(n, 4,
+                                                       static_cast<std::uint64_t>(n));
+        ConnectivityOptions options;
+        // Four sources at every n, as few as a c = 0.02 sample yields.
+        options.sample_fraction = 0.01;
+        options.min_sources = 4;
+        // An inline run records the stores; the checked sweeps then reuse
+        // every third of them and recompute the rest.
+        test_support::TableReuseHook recorder;
+        options.reuse = &recorder;
+        (void)vertex_connectivity(g, options);
+        const auto table = recorder.every_third_store();
+        for (const bool with_hook : {false, true}) {
+            SCOPED_TRACE(with_hook ? "with hook" : "no hook");
+            test_support::TableReuseHook inline_hook(table);
+            options.pool = nullptr;
+            options.reuse = with_hook ? &inline_hook : nullptr;
+            const ConnectivityResult expected = vertex_connectivity(g, options);
+            if (with_hook && n > 2) {
+                EXPECT_GT(expected.pairs_reused, 0u);
+            }
+            for (const int workers : {1, 2, 3, 7}) {
+                SCOPED_TRACE("workers=" + std::to_string(workers));
+                exec::ThreadPool pool(workers);
+                test_support::TableReuseHook hook(table);
+                options.pool = &pool;
+                options.reuse = with_hook ? &hook : nullptr;
+                expect_same_sweep(expected, vertex_connectivity(g, options));
+                EXPECT_EQ(hook.sorted_stores(), inline_hook.sorted_stores());
+            }
+        }
     }
 }
 

@@ -24,6 +24,7 @@
 #include "serve/daemon.h"
 #include "serve/protocol.h"
 #include "util/cli.h"
+#include "util/env.h"
 
 namespace {
 
@@ -38,7 +39,8 @@ int cmd_serve(const util::CliArgs& args) {
     config.socket_path = args.get(std::string("socket"), "");
     config.watch_dir = args.get(std::string("watch"), "");
     config.cache_dir = args.get(std::string("cache"), "");
-    config.analysis_threads = static_cast<int>(args.get_int("threads", 1));
+    config.analysis_threads =
+        static_cast<int>(args.get_int("threads", util::repro_threads()));
     config.hot_capacity = static_cast<std::size_t>(args.get_int("lru", 4));
     config.queue_capacity = static_cast<std::size_t>(args.get_int("queue", 16));
     config.watch_poll_ms = static_cast<int>(args.get_int("poll-ms", 200));
@@ -139,6 +141,9 @@ void print_usage(const char* program) {
         "  serve  --socket PATH [--watch DIR] [--cache DIR] [--threads N]\n"
         "         [--lru N] [--queue N] [--poll-ms MS] [--c FRAC | --exact]\n"
         "         [--no-delta]\n"
+        "         --threads N: analysis pool size (default REPRO_THREADS, else\n"
+        "         the core count); the analysis thread is one extra lane,\n"
+        "         and N = 1 analyses on that thread alone\n"
         "  query  --socket PATH <request words...>   e.g. KAPPA latest\n"
         "  ingest --socket PATH --in FILE [--source NAME]\n"
         "\n"
