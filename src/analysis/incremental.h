@@ -20,14 +20,16 @@
 // Lifecycle per snapshot (single analysis in flight at a time):
 //
 //   cache.begin_snapshot(snapshot, graph);   // rebind address maps, prune
-//   κ-sweep with options.reuse = cache.kappa_hook();   // workers race here
-//   λ-sweep with options.reuse = cache.lambda_hook();  // and here
+//   flow::connectivity_sweep(graph, options with reuse = cache.kappa_hook(),
+//                            cache.lambda_hook());  // lanes race here
 //   cache.end_snapshot();                    // commit this sweep's stores
 //
-// During the sweeps, lookups read only the committed (frozen) store and
-// stores append to a mutex-guarded pending buffer, so concurrent workers —
-// and the κ and λ sweeps overlapping — never observe each other's stores:
-// results stay bit-identical for any thread count.
+// During the sweep, lookups read only the committed (frozen) store and
+// stores append to a mutex-guarded pending buffer, so concurrent lanes —
+// and the sweep's κ and λ passes — never observe each other's stores:
+// results stay bit-identical for any thread count. λ offers the hook only
+// the pairs it runs its own flow for; a pair settled from κ at the degree
+// bound is neither looked up nor stored on the λ side.
 #ifndef KADSIM_ANALYSIS_INCREMENTAL_H
 #define KADSIM_ANALYSIS_INCREMENTAL_H
 

@@ -8,23 +8,8 @@
 
 #include "analysis/structure.h"
 #include "exec/thread_pool.h"
-#include "flow/edge_connectivity.h"
 
 namespace kadsim::analysis {
-
-void EdgeConnectivityMetric::analyze(const MetricContext& context,
-                                     ResilienceMetrics& out) const {
-    flow::EdgeConnectivityOptions options;
-    options.sample_fraction = context.sample_c;
-    options.min_sources = context.min_sources;
-    options.pool = context.pool;
-    options.use_certificate = context.use_certificate;
-    options.reuse = context.lambda_reuse;
-    const flow::EdgeConnectivityResult r =
-        flow::edge_connectivity(context.g, options);
-    out.lambda_min = r.lambda_min;
-    out.lambda_avg = r.lambda_avg;
-}
 
 void ReachabilityMetric::analyze(const MetricContext& context,
                                  ResilienceMetrics& out) const {
@@ -58,14 +43,11 @@ void DegreeMetric::analyze(const MetricContext& context,
 }
 
 std::span<const SnapshotMetric* const> default_metrics() {
-    static const EdgeConnectivityMetric lambda;
     static const ReachabilityMetric reachability;
     static const CutStructureMetric cut_structure;
     static const DegreeMetric degree;
-    // λ first: it is the expensive member, so the inline lane (the caller)
-    // starts it while the cheap structural metrics ride pool tasks.
-    static const std::array<const SnapshotMetric*, 4> suite{
-        &lambda, &reachability, &cut_structure, &degree};
+    static const std::array<const SnapshotMetric*, 3> suite{&reachability,
+                                                            &cut_structure, &degree};
     return suite;
 }
 

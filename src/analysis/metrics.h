@@ -2,11 +2,11 @@
 //
 // The paper measures resilience solely as vertex connectivity κ; this layer
 // adds the richer structural measures its framing (and the companion CPS
-// study, plus Ferretti 2013) motivates: sampled edge connectivity λ,
-// strong/weak reachability fractions, articulation points and bridges, and
-// degree summaries. Each measure is a SnapshotMetric; the suite runs
-// per-snapshot after the κ sweep, across every lane of the shared
-// exec::ThreadPool, and core::ConnectivityAnalyzer folds the results into
+// study, plus Ferretti 2013) motivates: strong/weak reachability fractions,
+// articulation points and bridges, and degree summaries. Each measure is a
+// SnapshotMetric; core::ConnectivityAnalyzer runs the suite as pool work
+// alongside the κ/λ sweep (flow/connectivity_sweep.h), which yields the
+// sampled edge connectivity λ together with κ, and folds both into
 // ResilienceSample.
 //
 // Determinism contract: a metric is a pure function of the snapshot graph —
@@ -33,8 +33,7 @@ class PairReuseHook;
 namespace kadsim::analysis {
 
 /// What a metric sees: the snapshot's connectivity graph plus the sampling
-/// parameters and execution pool the κ analysis uses (metrics that sample
-/// pairs, like λ, follow the same §5.2 source reduction).
+/// parameters and execution pool the κ/λ sweep uses.
 struct MetricContext {
     const graph::Digraph& g;
     double sample_c = 1.0;
@@ -43,12 +42,15 @@ struct MetricContext {
     /// Preprocess flow-metric graphs with the Nagamochi–Ibaraki sparse
     /// certificate (graph/certificate.h); values are unchanged.
     bool use_certificate = false;
-    /// Cross-snapshot λ reuse hook (analysis/incremental.h), or nullptr.
-    /// Only EdgeConnectivityMetric consumes it; not owned.
+    /// Cross-snapshot λ reuse hook (analysis/incremental.h), or nullptr,
+    /// for callers that run λ beside the suite; no suite metric reads it.
+    /// Not owned.
     flow::PairReuseHook* lambda_reuse = nullptr;
 };
 
 /// The metric values of one snapshot (the non-κ half of ResilienceSample).
+/// λ comes from the flow sweep, not from a suite metric: the caller that
+/// runs the sweep fills lambda_min / lambda_avg.
 struct ResilienceMetrics {
     int lambda_min = 0;        ///< sampled edge connectivity λ(D)
     double lambda_avg = 0.0;   ///< mean λ(u,v) over sampled pairs
@@ -71,16 +73,6 @@ public:
     [[nodiscard]] virtual const char* name() const noexcept = 0;
     virtual void analyze(const MetricContext& context,
                          ResilienceMetrics& out) const = 0;
-};
-
-/// Sampled edge connectivity λ: unit-capacity max-flow per pair on the raw
-/// CSR digraph (no vertex split), c·n smallest-out-degree sources × all
-/// sinks, degree-capped Dinic on a touched-arc-reset workspace
-/// (flow/edge_connectivity.h). Owns lambda_min / lambda_avg.
-class EdgeConnectivityMetric final : public SnapshotMetric {
-public:
-    [[nodiscard]] const char* name() const noexcept override { return "lambda"; }
-    void analyze(const MetricContext& context, ResilienceMetrics& out) const override;
 };
 
 /// Strong reachability: SCC count and the fraction of live nodes inside the

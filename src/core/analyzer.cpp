@@ -1,10 +1,30 @@
 #include "core/analyzer.h"
 
 #include <algorithm>
+#include <exception>
+#include <future>
 
 #include "exec/thread_pool.h"
+#include "flow/connectivity_sweep.h"
 
 namespace kadsim::core {
+
+namespace {
+
+flow::ConnectivityOptions flow_options(const AnalyzerOptions& options,
+                                       exec::ThreadPool* pool,
+                                       flow::PairReuseHook* reuse) {
+    flow::ConnectivityOptions out;
+    out.sample_fraction = options.sample_c;
+    out.min_sources = options.min_sources;
+    out.pool = pool;
+    out.use_push_relabel = options.use_push_relabel;
+    out.use_certificate = options.use_certificate;
+    out.reuse = reuse;
+    return out;
+}
+
+}  // namespace
 
 ResilienceSample ConnectivityAnalyzer::analyze(const graph::RoutingSnapshot& snap,
                                                exec::ThreadPool* pool) const {
@@ -48,41 +68,55 @@ ResilienceSample ConnectivityAnalyzer::analyze(const graph::RoutingSnapshot& sna
     sample.reciprocity = g.reciprocity();
 
     // Cross-snapshot reuse: rebind the (lazily created) delta cache to this
-    // snapshot and hand its hooks to both flow sweeps. Lookups only read the
-    // store committed by *previous* snapshots.
+    // snapshot and hand its hooks to both halves of the sweep. Lookups only
+    // read the store committed by *previous* snapshots.
     if (options_.use_delta && delta_ == nullptr) {
         delta_ = std::make_unique<analysis::SnapshotDeltaCache>();
     }
     if (delta_ != nullptr) delta_->begin_snapshot(snap, g);
 
-    // The κ sweep, then the metric suite, each fanned over every pool lane
-    // (λ, the suite's expensive first member, runs its flows on all of them
-    // while the structural metrics ride pool tasks). Both are deterministic,
-    // so the schedule never changes a value.
-    flow::ConnectivityResult r;
+    // The κ/λ sweep fans out over every pool lane, and the structural
+    // metrics ride one pool task queued ahead of its flow jobs. Both are
+    // deterministic, so the schedule never changes a value.
+    const analysis::MetricContext context{g, options_.sample_c, options_.min_sources,
+                                          pool, options_.use_certificate};
     analysis::ResilienceMetrics metrics;
+    std::future<void> structure;
+    flow::ConnectivitySweepResult sweep;
+    std::exception_ptr error;
     try {
-        r = analyze_graph(g, pool,
-                          delta_ != nullptr ? delta_->kappa_hook() : nullptr);
-        metrics = analysis::run_metrics(analysis::MetricContext{
-            g, options_.sample_c, options_.min_sources, pool,
-            options_.use_certificate,
-            delta_ != nullptr ? delta_->lambda_hook() : nullptr});
+        if (pool != nullptr && !exec::ThreadPool::in_worker()) {
+            structure = pool->submit(
+                [&context, &metrics] { metrics = analysis::run_metrics(context); });
+        }
+        sweep = flow::connectivity_sweep(
+            g,
+            flow_options(options_, pool,
+                         delta_ != nullptr ? delta_->kappa_hook() : nullptr),
+            delta_ != nullptr ? delta_->lambda_hook() : nullptr);
+        if (!structure.valid()) metrics = analysis::run_metrics(context);
     } catch (...) {
-        // Commit even on failure: stored pairs are revalidated against
-        // whichever graph looks them up, so a partial sweep's stores are safe.
-        if (delta_ != nullptr) delta_->end_snapshot();
-        throw;
+        error = std::current_exception();
     }
-    // Both sweeps have joined: commit this snapshot's witness stores so the
-    // next snapshot can reuse them.
+    // The metrics task references this frame: join it before any unwind.
+    if (structure.valid()) {
+        try {
+            pool->wait_get(structure);
+        } catch (...) {
+            if (!error) error = std::current_exception();
+        }
+    }
+    // Commit this snapshot's witness stores so the next snapshot can reuse
+    // them — even on failure: stored pairs are revalidated against whichever
+    // graph looks them up, so a partial sweep's stores are safe.
     if (delta_ != nullptr) delta_->end_snapshot();
+    if (error) std::rethrow_exception(error);
 
-    sample.kappa_min = r.kappa_min;
-    sample.kappa_avg = r.kappa_avg;
-    sample.pairs_evaluated = r.pairs_evaluated;
-    sample.lambda_min = metrics.lambda_min;
-    sample.lambda_avg = metrics.lambda_avg;
+    sample.kappa_min = sweep.kappa.kappa_min;
+    sample.kappa_avg = sweep.kappa.kappa_avg;
+    sample.pairs_evaluated = sweep.kappa.pairs_evaluated;
+    sample.lambda_min = sweep.lambda.lambda_min;
+    sample.lambda_avg = sweep.lambda.lambda_avg;
     // scc_count predates the metric suite; ReachabilityMetric now computes
     // it in the same Tarjan pass as scc_frac (values unchanged — the golden
     // series hashes pin them).
@@ -101,21 +135,7 @@ ResilienceSample ConnectivityAnalyzer::analyze(const graph::RoutingSnapshot& sna
 flow::ConnectivityResult ConnectivityAnalyzer::analyze_graph(
     const graph::Digraph& g, exec::ThreadPool* pool,
     flow::PairReuseHook* reuse) const {
-    flow::ConnectivityOptions options;
-    options.sample_fraction = options_.sample_c;
-    options.min_sources = options_.min_sources;
-    options.pool = pool;
-    options.use_push_relabel = options_.use_push_relabel;
-    options.use_certificate = options_.use_certificate;
-    options.reuse = reuse;
-    return flow::vertex_connectivity(g, options);
-}
-
-analysis::ResilienceMetrics ConnectivityAnalyzer::analyze_metrics(
-    const graph::Digraph& g, exec::ThreadPool* pool) const {
-    return analysis::run_metrics(analysis::MetricContext{
-        g, options_.sample_c, options_.min_sources, pool,
-        options_.use_certificate});
+    return flow::vertex_connectivity(g, flow_options(options_, pool, reuse));
 }
 
 }  // namespace kadsim::core

@@ -1,8 +1,9 @@
 // Resilience analysis pipeline (paper §5.2, extended): routing snapshot →
-// directed connectivity graph → Even transformation → max-flow per vertex
-// pair → κ_min / κ_avg with the paper's c·n source sampling, plus the
-// analysis-layer metric suite (sampled edge connectivity λ, reachability
-// fractions, cut structure, degree floor) run after κ on the same pool.
+// directed connectivity graph → one sampled flow sweep with the paper's c·n
+// source sampling → κ_min / κ_avg (max-flow on the Even transformation) and
+// the sampled edge connectivity λ_min / λ_avg from the same sweep, plus the
+// analysis-layer metric suite (reachability fractions, cut structure,
+// degree floor) run alongside it on the same pool.
 #ifndef KADSIM_CORE_ANALYZER_H
 #define KADSIM_CORE_ANALYZER_H
 
@@ -97,13 +98,14 @@ class ConnectivityAnalyzer {
 public:
     explicit ConnectivityAnalyzer(AnalyzerOptions options) : options_(options) {}
 
-    /// Full pipeline on a routing snapshot: the κ sweep, then the metric
-    /// suite. `pool` (optional) spreads each of them over every lane of a
-    /// persistent execution pool — the flows as (source, sink block) items,
-    /// the structural metrics as tasks — instead of running inline; results
-    /// are bit-identical either way. With options().use_delta, calls must not
-    /// overlap and snapshots must arrive in series order (the delta cache
-    /// lives on this analyzer); without it, analyze is const-threadsafe.
+    /// Full pipeline on a routing snapshot: the κ/λ sweep
+    /// (flow/connectivity_sweep.h) and the metric suite. `pool` (optional)
+    /// spreads the sweep's (source, sink block) items over every lane of a
+    /// persistent execution pool, with the structural metrics as a pool task
+    /// alongside, instead of running inline; results are bit-identical
+    /// either way. With options().use_delta, calls must not overlap and
+    /// snapshots must arrive in series order (the delta cache lives on this
+    /// analyzer); without it, analyze is const-threadsafe.
     [[nodiscard]] ResilienceSample analyze(const graph::RoutingSnapshot& snap,
                                            exec::ThreadPool* pool = nullptr) const;
 
@@ -112,10 +114,6 @@ public:
     [[nodiscard]] flow::ConnectivityResult analyze_graph(
         const graph::Digraph& g, exec::ThreadPool* pool = nullptr,
         flow::PairReuseHook* reuse = nullptr) const;
-
-    /// The metric suite on an already-built connectivity graph.
-    [[nodiscard]] analysis::ResilienceMetrics analyze_metrics(
-        const graph::Digraph& g, exec::ThreadPool* pool = nullptr) const;
 
     [[nodiscard]] const AnalyzerOptions& options() const noexcept { return options_; }
 

@@ -13,8 +13,12 @@
 // because every vertex is a sink the reported λ_min ≤ δ_min is guaranteed
 // even under sampling.
 //
-// Memory model matches the κ kernel: one immutable unit-capacity CSR
-// FlowNetwork shared across workers, per-worker flow::FlowWorkspace with the
+// edge_connectivity() is the λ-only entry point of the sampled sweep
+// (flow/connectivity_sweep.h). The analyzer runs λ through that sweep
+// together with κ, where a pair whose κ reaches the degree bound settles
+// λ = bound without a flow; this entry point runs λ's own pair body for
+// every pair. Memory model matches κ's: one immutable unit-capacity CSR
+// FlowNetwork shared across lanes, a per-lane flow::FlowWorkspace with the
 // touched-arc undo log making the per-pair reset O(arcs touched).
 #ifndef KADSIM_FLOW_EDGE_CONNECTIVITY_H
 #define KADSIM_FLOW_EDGE_CONNECTIVITY_H

@@ -4,10 +4,9 @@
 // pairs, and both are bounded above by the source's out-degree — so the same
 // reduction applies: evaluate only the c·n vertices with the smallest
 // out-degree as sources (against all sinks), and the weakest vertices pin
-// the minimum. Extracted from vertex_connectivity.cpp verbatim when the edge
-// connectivity kernel arrived; the selection is deterministic (ties by
-// index), which the golden-series tests rely on. Both kernels also split
-// their sweep into the same (source, sink block) work items, defined here.
+// the minimum. The selection is deterministic (ties by index), which the
+// golden-series tests rely on. The κ/λ sweep (flow/connectivity_sweep.h)
+// splits its work into the (source, sink block) items defined here.
 #ifndef KADSIM_FLOW_SAMPLING_H
 #define KADSIM_FLOW_SAMPLING_H
 
@@ -32,9 +31,11 @@ inline std::vector<int> pick_smallest_out_degree_sources(const graph::Digraph& g
     std::iota(order.begin(), order.end(), 0);
     if (fraction >= 1.0) return order;
 
+    // The floor is capped at n: with min_sources > n, std::clamp's lower
+    // bound would exceed its upper one (undefined behaviour).
     const auto want = static_cast<std::size_t>(
         std::clamp<long long>(static_cast<long long>(std::ceil(fraction * n)),
-                              std::max(1, min_sources), n));
+                              std::min(std::max(1, min_sources), n), n));
     // (out-degree, index) is a strict total order, so selecting the `want`
     // smallest and then ordering that prefix reproduces the stable-sort
     // result exactly — without paying O(n log n) for the ~98% of vertices

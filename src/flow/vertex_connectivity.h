@@ -10,8 +10,10 @@
 // sinks each) finds the true minimum — the authors validated c = 0.02 on 20
 // fully-analyzed graphs; `bench/ablation_sampling_c` re-validates it here.
 //
-// Memory model: the Even-transformed network is built once (immutable CSR)
-// and shared by reference across all workers; each worker owns only a
+// vertex_connectivity() is the κ-only entry point of the sampled sweep
+// (flow/connectivity_sweep.h), which computes κ and λ together. Memory
+// model: the Even-transformed network is built once (immutable CSR) and
+// shared by reference across all lanes; each lane owns only a
 // flow::FlowWorkspace whose touched-arc undo log makes the per-pair reset
 // O(arcs touched) instead of O(m+n).
 #ifndef KADSIM_FLOW_VERTEX_CONNECTIVITY_H

@@ -218,8 +218,8 @@ TEST(AnalysisInvariants, BridgesAndArticulationOnKnownShapes) {
     EXPECT_EQ(bs.articulation_points, (std::vector<int>{2}));
 }
 
-// The metric suite on a graph with known structure, inline vs pool fan-out:
-// identical values either way (the determinism contract).
+// The metric suite and λ on a graph with known structure, inline vs pool
+// fan-out: identical values either way (the determinism contract).
 TEST(AnalysisInvariants, MetricSuiteDeterministicAcrossExecutionModes) {
     // Bidirectional ring of 12 with a pendant vertex 12 attached to node 0:
     // one cut vertex (0), one bridge ({0,12}), λ_min = 1 via the pendant.
@@ -234,7 +234,8 @@ TEST(AnalysisInvariants, MetricSuiteDeterministicAcrossExecutionModes) {
 
     const MetricContext inline_context{g, 1.0, 1, nullptr};
     const ResilienceMetrics inline_metrics = run_metrics(inline_context);
-    EXPECT_EQ(inline_metrics.lambda_min, 1);   // pendant severed by one edge
+    const flow::EdgeConnectivityResult inline_lambda = flow::edge_connectivity(g);
+    EXPECT_EQ(inline_lambda.lambda_min, 1);    // pendant severed by one edge
     EXPECT_EQ(inline_metrics.scc_count, 1);
     EXPECT_DOUBLE_EQ(inline_metrics.scc_frac, 1.0);
     EXPECT_DOUBLE_EQ(inline_metrics.wcc_frac, 1.0);
@@ -246,9 +247,13 @@ TEST(AnalysisInvariants, MetricSuiteDeterministicAcrossExecutionModes) {
     exec::ThreadPool pool(3);
     const MetricContext pooled_context{g, 1.0, 1, &pool};
     const ResilienceMetrics pooled = run_metrics(pooled_context);
+    flow::EdgeConnectivityOptions pooled_options;
+    pooled_options.pool = &pool;
+    const flow::EdgeConnectivityResult pooled_lambda =
+        flow::edge_connectivity(g, pooled_options);
     EXPECT_EQ(pooled.scc_count, inline_metrics.scc_count);
-    EXPECT_EQ(pooled.lambda_min, inline_metrics.lambda_min);
-    EXPECT_DOUBLE_EQ(pooled.lambda_avg, inline_metrics.lambda_avg);
+    EXPECT_EQ(pooled_lambda.lambda_min, inline_lambda.lambda_min);
+    EXPECT_DOUBLE_EQ(pooled_lambda.lambda_avg, inline_lambda.lambda_avg);
     EXPECT_DOUBLE_EQ(pooled.scc_frac, inline_metrics.scc_frac);
     EXPECT_DOUBLE_EQ(pooled.wcc_frac, inline_metrics.wcc_frac);
     EXPECT_EQ(pooled.articulation_points, inline_metrics.articulation_points);
@@ -321,7 +326,7 @@ TEST(AnalysisInvariants, FragmentedGraphFractions) {
     g.finalize();
     const MetricContext context{g, 1.0, 1, nullptr};
     const ResilienceMetrics m = run_metrics(context);
-    EXPECT_EQ(m.lambda_min, 0);
+    EXPECT_EQ(flow::edge_connectivity(g).lambda_min, 0);
     EXPECT_EQ(m.scc_count, 3);  // two triangles plus the isolated vertex
     EXPECT_NEAR(m.scc_frac, 3.0 / 7.0, 1e-12);
     EXPECT_NEAR(m.wcc_frac, 3.0 / 7.0, 1e-12);
