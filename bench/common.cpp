@@ -8,6 +8,7 @@
 #include <fstream>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 
 #include "exec/thread_pool.h"
@@ -64,11 +65,23 @@ void store_to_cache(const core::ExperimentConfig& config,
     }
 }
 
+/// `"name": [v0,v1,...], ` over one sample field, in snapshot order.
+template <class Field>
+void write_series(std::ostream& out, const char* name,
+                  const std::vector<core::ResilienceSample>& samples,
+                  Field core::ResilienceSample::*field) {
+    out << '"' << name << "\": [";
+    for (std::size_t j = 0; j < samples.size(); ++j) {
+        out << (j > 0 ? "," : "") << samples[j].*field;
+    }
+    out << "], ";
+}
+
 /// Machine-readable run summary next to the CSV: bench_out/BENCH_<id>.json.
 std::string write_bench_json(const FigureSpec& spec) {
     const std::string path = output_dir() + "/BENCH_" + spec.id + ".json";
-    std::ofstream out(path, std::ios::trunc);
-    if (!out) return path;
+    const double churn_start = core::PaperScenarios::churn_start_min();
+    std::ostringstream out;
     out << "{\n"
         << "  \"id\": \"" << json_escape(spec.id) << "\",\n"
         << "  \"paper_ref\": \"" << json_escape(spec.paper_ref) << "\",\n"
@@ -78,58 +91,22 @@ std::string write_bench_json(const FigureSpec& spec) {
         << "  \"runs\": [\n";
     for (std::size_t i = 0; i < spec.runs.size(); ++i) {
         const auto& run = spec.runs[i];
-        const auto s = run.series.kappa_min_summary(
-            spec.churn_start_min >= 0.0 ? spec.churn_start_min : 0.0, 1e18);
-        const auto a = run.series.kappa_avg_summary(
-            spec.churn_start_min >= 0.0 ? spec.churn_start_min : 0.0, 1e18);
+        const auto& samples = run.series.samples;
+        const auto s = run.series.kappa_min_summary(churn_start, 1e18);
+        const auto a = run.series.kappa_avg_summary(churn_start, 1e18);
+        const auto l = run.series.lambda_min_summary(churn_start, 1e18);
         // Fault metadata keeps the resilience trajectory comparable across
         // PRs: the model, its total removal budget, and the cumulative
         // removed-node count at every snapshot.
         const auto& fault = run.config.scenario.fault;
         std::uint64_t budget = 0;
-        for (const auto& sample : run.series.samples) {
-            budget = std::max(budget, sample.removed_total);
-        }
-        const auto l = run.series.lambda_min_summary(
-            spec.churn_start_min >= 0.0 ? spec.churn_start_min : 0.0, 1e18);
-        out << "    {\"label\": \"" << json_escape(run.label) << "\", "
-            << "\"samples\": " << run.series.samples.size() << ", "
-            << "\"kappa_min_mean\": " << s.mean() << ", "
-            << "\"kappa_min_rv\": " << s.relative_variance() << ", "
-            << "\"kappa_avg_mean\": " << a.mean() << ", "
-            << "\"lambda_min_mean\": " << l.mean() << ", "
-            << "\"fault\": \"" << json_escape(fault.label()) << "\", "
-            << "\"removal_budget\": " << budget << ", "
-            << "\"removed\": [";
-        for (std::size_t j = 0; j < run.series.samples.size(); ++j) {
-            out << (j > 0 ? "," : "") << run.series.samples[j].removed_total;
-        }
-        // The analysis-layer metric series (same snapshot order as
-        // `removed`): sampled λ_min, largest-SCC fraction, articulation
-        // points — the resilience dimensions beyond κ.
-        out << "], "
-            << "\"lambda_min\": [";
-        for (std::size_t j = 0; j < run.series.samples.size(); ++j) {
-            out << (j > 0 ? "," : "") << run.series.samples[j].lambda_min;
-        }
-        out << "], "
-            << "\"scc_frac\": [";
-        for (std::size_t j = 0; j < run.series.samples.size(); ++j) {
-            out << (j > 0 ? "," : "") << run.series.samples[j].scc_frac;
-        }
-        out << "], "
-            << "\"articulation\": [";
-        for (std::size_t j = 0; j < run.series.samples.size(); ++j) {
-            out << (j > 0 ? "," : "") << run.series.samples[j].articulation_points;
-        }
-        // Lookup-workload series (same snapshot order): does the overlay
-        // still resolve lookups as κ degrades? `kappa_zero_at_min` /
-        // `lookup_degraded_at_min` are the crossover instants — first
-        // snapshot where κ_min hit zero vs. first where probe success
-        // dropped below one half (-1 = never happened in this run).
+        // Lookup-workload crossover instants: first snapshot where κ_min hit
+        // zero vs. first where probe success dropped below one half (-1 =
+        // never happened in this run).
         double kappa_zero_at = -1.0;
         double degraded_at = -1.0;
-        for (const auto& sample : run.series.samples) {
+        for (const auto& sample : samples) {
+            budget = std::max(budget, sample.removed_total);
             if (kappa_zero_at < 0.0 && sample.n > 0 && sample.kappa_min == 0) {
                 kappa_zero_at = sample.time_min;
             }
@@ -138,29 +115,37 @@ std::string write_bench_json(const FigureSpec& spec) {
                 degraded_at = sample.time_min;
             }
         }
-        out << "], "
-            << "\"lookup_success\": [";
-        for (std::size_t j = 0; j < run.series.samples.size(); ++j) {
-            out << (j > 0 ? "," : "") << run.series.samples[j].lookup_success_rate;
-        }
-        out << "], "
-            << "\"probe_success\": [";
-        for (std::size_t j = 0; j < run.series.samples.size(); ++j) {
-            out << (j > 0 ? "," : "") << run.series.samples[j].probe_success_rate;
-        }
-        out << "], "
-            << "\"probe_hop_p50\": [";
-        for (std::size_t j = 0; j < run.series.samples.size(); ++j) {
-            out << (j > 0 ? "," : "") << run.series.samples[j].probe_hop_p50;
-        }
-        out << "], "
-            << "\"kappa_zero_at_min\": " << kappa_zero_at << ", "
+        out << "    {\"label\": \"" << json_escape(run.label) << "\", "
+            << "\"samples\": " << samples.size() << ", "
+            << "\"kappa_min_mean\": " << s.mean() << ", "
+            << "\"kappa_min_rv\": " << s.relative_variance() << ", "
+            << "\"kappa_avg_mean\": " << a.mean() << ", "
+            << "\"lambda_min_mean\": " << l.mean() << ", "
+            << "\"fault\": \"" << json_escape(fault.label()) << "\", "
+            << "\"removal_budget\": " << budget << ", ";
+        // Per-snapshot series, all in the same snapshot order: removals, the
+        // analysis-layer metrics beyond κ (sampled λ_min, largest-SCC
+        // fraction, articulation points), and the lookup workload (does the
+        // overlay still resolve lookups as κ degrades?).
+        using core::ResilienceSample;
+        write_series(out, "removed", samples, &ResilienceSample::removed_total);
+        write_series(out, "lambda_min", samples, &ResilienceSample::lambda_min);
+        write_series(out, "scc_frac", samples, &ResilienceSample::scc_frac);
+        write_series(out, "articulation", samples,
+                     &ResilienceSample::articulation_points);
+        write_series(out, "lookup_success", samples,
+                     &ResilienceSample::lookup_success_rate);
+        write_series(out, "probe_success", samples,
+                     &ResilienceSample::probe_success_rate);
+        write_series(out, "probe_hop_p50", samples, &ResilienceSample::probe_hop_p50);
+        out << "\"kappa_zero_at_min\": " << kappa_zero_at << ", "
             << "\"lookup_degraded_at_min\": " << degraded_at << ", "
             << "\"wall_seconds\": " << run.wall_seconds << ", "
             << "\"snapshot_capture_us\": " << run.series.snapshot_capture_us << "}"
             << (i + 1 < spec.runs.size() ? "," : "") << '\n';
     }
     out << "  ]\n}\n";
+    write_file(path, out.str());
     return path;
 }
 
@@ -177,6 +162,14 @@ std::uint64_t peak_rss_bytes() {
     if (getrusage(RUSAGE_SELF, &usage) != 0) return 0;
     // Linux reports ru_maxrss in kilobytes.
     return static_cast<std::uint64_t>(usage.ru_maxrss) * 1024u;
+}
+
+void write_file(const std::string& path, const std::string& text) {
+    std::ofstream out(path, std::ios::trunc);
+    if (!out) throw std::runtime_error("cannot open " + path);
+    out << text;
+    out.close();
+    if (!out) throw std::runtime_error("write failed: " + path);
 }
 
 std::string json_escape(const std::string& in) {
@@ -252,9 +245,49 @@ std::vector<core::ExperimentSeries> run_cached_batch(
             store_to_cache(configs[missing[index]], series);
         });
     for (std::size_t j = 0; j < missing.size(); ++j) {
+        // The cache row keeps ostream's default 6 significant digits; pass
+        // each fresh sample through it so cold and warm runs agree byte for
+        // byte.
+        for (auto& sample : fresh[j].samples) {
+            const bool parsed = serve::ResultCache::parse_sample_row(
+                serve::ResultCache::format_sample_row(sample), sample);
+            KADSIM_ASSERT(parsed);
+        }
         results[missing[j]] = std::move(fresh[j]);
     }
     return results;
+}
+
+std::string series_table(const std::vector<SeriesRun>& runs) {
+    std::vector<std::string> header{"t(min)"};
+    std::vector<double> times;
+    for (const auto& run : runs) {
+        header.push_back("n " + run.label);
+        header.push_back("Min " + run.label);
+        header.push_back("Avg " + run.label);
+        for (const auto& s : run.series.samples) times.push_back(s.time_min);
+    }
+    std::sort(times.begin(), times.end());
+    times.erase(std::unique(times.begin(), times.end()), times.end());
+
+    util::TextTable table(header);
+    for (const double t : times) {
+        std::vector<std::string> row{util::TextTable::num(static_cast<long long>(t))};
+        for (const auto& run : runs) {
+            const auto& samples = run.series.samples;
+            const auto it = std::find_if(samples.begin(), samples.end(),
+                                         [t](const auto& s) { return s.time_min == t; });
+            if (it != samples.end()) {
+                row.push_back(util::TextTable::num(static_cast<long long>(it->n)));
+                row.push_back(util::TextTable::num(static_cast<long long>(it->kappa_min)));
+                row.push_back(util::TextTable::num(it->kappa_avg, 1));
+            } else {
+                row.insert(row.end(), {"-", "-", "-"});
+            }
+        }
+        table.add_row(std::move(row));
+    }
+    return table.to_string();
 }
 
 void print_header(const FigureSpec& spec, const core::ReproScale& scale) {
@@ -299,33 +332,7 @@ int run_figure(FigureSpec& spec) {
         std::chrono::duration<double>(std::chrono::steady_clock::now() - batch_start)
             .count();
 
-    // --- combined series table -------------------------------------------
-    std::vector<std::string> header{"t(min)"};
-    for (const auto& run : spec.runs) {
-        header.push_back("n " + run.label);
-        header.push_back("Min " + run.label);
-        header.push_back("Avg " + run.label);
-    }
-    util::TextTable table(header);
-    const std::size_t rows =
-        spec.runs.empty() ? 0 : spec.runs.front().series.samples.size();
-    for (std::size_t i = 0; i < rows; ++i) {
-        std::vector<std::string> row;
-        row.push_back(util::TextTable::num(
-            static_cast<long long>(spec.runs.front().series.samples[i].time_min)));
-        for (const auto& run : spec.runs) {
-            if (i < run.series.samples.size()) {
-                const auto& s = run.series.samples[i];
-                row.push_back(util::TextTable::num(static_cast<long long>(s.n)));
-                row.push_back(util::TextTable::num(static_cast<long long>(s.kappa_min)));
-                row.push_back(util::TextTable::num(s.kappa_avg, 1));
-            } else {
-                row.insert(row.end(), {"-", "-", "-"});
-            }
-        }
-        table.add_row(std::move(row));
-    }
-    std::printf("\n%s\n", table.to_string().c_str());
+    std::printf("\n%s\n", series_table(spec.runs).c_str());
 
     // --- ASCII figures ----------------------------------------------------
     static constexpr char kGlyphs[] = {'o', '*', '+', 'x', '#', '@', '%', '&'};
@@ -352,21 +359,20 @@ int run_figure(FigureSpec& spec) {
     std::printf("%s\n", avg_plot.render().c_str());
 
     // --- churn-phase summary (Table-2 style) ------------------------------
-    if (spec.churn_start_min >= 0.0) {
-        util::TextTable summary(
-            {"config", "mean(Min)", "RV(Min)", "mean(Avg)", "min(Min)", "max(Min)"});
-        for (const auto& run : spec.runs) {
-            const auto s = run.series.kappa_min_summary(spec.churn_start_min, 1e18);
-            const auto a = run.series.kappa_avg_summary(spec.churn_start_min, 1e18);
-            summary.add_row({run.label, util::TextTable::num(s.mean(), 2),
-                             util::TextTable::num(s.relative_variance(), 2),
-                             util::TextTable::num(a.mean(), 2),
-                             util::TextTable::num(s.min(), 0),
-                             util::TextTable::num(s.max(), 0)});
-        }
-        std::printf("churn-phase (t >= %.0f min) summary:\n%s\n", spec.churn_start_min,
-                    summary.to_string().c_str());
+    const double churn_start = core::PaperScenarios::churn_start_min();
+    util::TextTable summary(
+        {"config", "mean(Min)", "RV(Min)", "mean(Avg)", "min(Min)", "max(Min)"});
+    for (const auto& run : spec.runs) {
+        const auto s = run.series.kappa_min_summary(churn_start, 1e18);
+        const auto a = run.series.kappa_avg_summary(churn_start, 1e18);
+        summary.add_row({run.label, util::TextTable::num(s.mean(), 2),
+                         util::TextTable::num(s.relative_variance(), 2),
+                         util::TextTable::num(a.mean(), 2),
+                         util::TextTable::num(s.min(), 0),
+                         util::TextTable::num(s.max(), 0)});
     }
+    std::printf("churn-phase (t >= %.0f min) summary:\n%s\n", churn_start,
+                summary.to_string().c_str());
 
     // --- CSV ---------------------------------------------------------------
     const std::string csv_path = output_dir() + "/" + spec.id + ".csv";

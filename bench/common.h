@@ -1,12 +1,13 @@
 // Shared harness for the figure/table reproduction binaries.
 //
-// Every bench binary declares a FigureSpec (paper id, expectation, scenario
-// configs) and calls run_figure(): the harness runs each simulation (or loads
-// it from the deterministic on-disk cache — figures share simulations, e.g.
-// Table 2 aggregates the runs behind Figures 6–9), prints the paper-style
-// series table, ASCII renderings of the figure, churn-phase summaries, and
-// writes CSV plus a machine-readable BENCH_<id>.json summary under
-// bench_out/.
+// A figure is a FigureSpec (paper id, expectation, scenario configs) handed
+// to run_figure() — bench/figures.cpp holds the paper's sweeps as one table,
+// and the benches with their own gates declare theirs. The harness runs each
+// simulation (or loads it from the deterministic on-disk cache — figures
+// share simulations, e.g. Table 2 aggregates the runs behind Figures 6–9),
+// prints the paper-style series table, ASCII renderings of the figure,
+// churn-phase summaries, and writes CSV plus a machine-readable
+// BENCH_<id>.json summary under bench_out/.
 //
 // Multi-config figures (k/α/s sweeps, loss×s grids) execute their uncached
 // configs concurrently through core::run_experiment_batch on one
@@ -41,8 +42,6 @@ struct FigureSpec {
     std::string description;   ///< one line: scenario in paper terms
     std::string expectation;   ///< the paper's qualitative result to compare to
     std::vector<SeriesRun> runs;
-    /// Churn-phase start for the summary table (minutes; <0 = no summary).
-    double churn_start_min = 120.0;
     /// Filled by run_figure, recorded in BENCH_<id>.json: elapsed wall clock
     /// across the whole (concurrent) batch, and the worker count used.
     double wall_seconds = 0.0;
@@ -63,8 +62,13 @@ private:
 };
 
 /// Runs (or loads cached) simulations — uncached configs concurrently on one
-/// pool — prints everything, writes CSV. Returns 0 (bench main() convention).
+/// pool — prints everything, writes CSV. Returns 0 (bench main() convention);
+/// throws std::runtime_error when an output file cannot be written.
 int run_figure(FigureSpec& spec);
+
+/// The combined series table run_figure prints: one row per sample time in
+/// the union of all runs' times, "-" where a run has no sample at that time.
+[[nodiscard]] std::string series_table(const std::vector<SeriesRun>& runs);
 
 /// Runs one experiment through the cache (bench_out/cache/<key>.csv).
 core::ExperimentSeries run_cached(const core::ExperimentConfig& config,
@@ -74,6 +78,8 @@ core::ExperimentSeries run_cached(const core::ExperimentConfig& config,
 /// concurrently on an execution pool of `threads` workers (created only if
 /// anything actually missed; 1 = one experiment at a time). Series are
 /// returned in config order; `labels` (same length) prefix the narration.
+/// A fresh series is returned as its cache entry stores it, so a cold run
+/// reports exactly what a later cache hit loads.
 std::vector<core::ExperimentSeries> run_cached_batch(
     const std::vector<core::ExperimentConfig>& configs,
     const std::vector<std::string>& labels, int threads);
@@ -83,6 +89,10 @@ void print_header(const FigureSpec& spec, const core::ReproScale& scale);
 
 /// Escapes `"` and `\` for embedding in the BENCH_<id>.json writers.
 [[nodiscard]] std::string json_escape(const std::string& in);
+
+/// Replaces the file at `path` with `text`. Throws std::runtime_error naming
+/// the path when the file cannot be opened, written or flushed.
+void write_file(const std::string& path, const std::string& text);
 
 /// Peak resident set size of this process so far (getrusage ru_maxrss),
 /// bytes. Every BENCH_<id>.json records it alongside wall time so memory

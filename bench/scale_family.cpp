@@ -19,7 +19,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -201,8 +201,7 @@ GateResult run_gate(const core::PaperScenarios& scenarios,
 void write_json(const std::vector<ScaleRun>& runs, const GateResult& gate,
                 int threads, double wall_seconds) {
     const std::string path = bench::output_dir() + "/BENCH_scale_family.json";
-    std::ofstream out(path, std::ios::trunc);
-    if (!out) return;
+    std::ostringstream out;
     out << "{\n"
         << "  \"id\": \"scale_family\",\n"
         << "  \"paper_ref\": \"beyond the paper: CSR-kernel scale family\",\n"
@@ -241,6 +240,7 @@ void write_json(const std::vector<ScaleRun>& runs, const GateResult& gate,
             << (i + 1 < runs.size() ? "," : "") << '\n';
     }
     out << "  ]\n}\n";
+    bench::write_file(path, out.str());
     std::printf("json: %s\n", path.c_str());
 }
 

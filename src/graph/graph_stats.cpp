@@ -7,22 +7,14 @@
 
 namespace kadsim::graph {
 
-DegreeSummary summarize_degrees(std::vector<int> degrees, bool exact_sort) {
+DegreeSummary summarize_degrees(const std::vector<int>& degrees) {
     DegreeSummary s;
     if (degrees.empty()) return s;
     s.mean = static_cast<double>(
                  std::accumulate(degrees.begin(), degrees.end(), std::int64_t{0})) /
              static_cast<double>(degrees.size());
-    if (exact_sort) {
-        std::sort(degrees.begin(), degrees.end());
-        s.min = degrees.front();
-        s.max = degrees.back();
-        s.median = degrees[degrees.size() / 2];
-        s.p10 = degrees[degrees.size() / 10];
-        return s;
-    }
-    // Counting path: value_at_index(i) == std::sort(degrees)[i] exactly
-    // (degrees are non-negative), so both paths report identical numbers.
+    // value_at_index(i) == std::sort(degrees)[i] exactly (degrees are
+    // non-negative).
     stats::CountHistogram hist;
     for (const int d : degrees) hist.add(d);
     s.min = static_cast<int>(hist.min());
@@ -36,7 +28,7 @@ DegreeSummary out_degree_summary(const Digraph& g) {
     std::vector<int> degrees;
     degrees.reserve(static_cast<std::size_t>(g.vertex_count()));
     for (int v = 0; v < g.vertex_count(); ++v) degrees.push_back(g.out_degree(v));
-    return summarize_degrees(std::move(degrees));
+    return summarize_degrees(degrees);
 }
 
 DegreeSummary in_degree_summary(const Digraph& g) {

@@ -21,15 +21,12 @@ struct DegreeSummary {
 
 /// Summary of a degree vector (empty input → all zeros).
 ///
-/// The default path streams the degrees into a stats::CountHistogram and
-/// reads the percentiles back by sorted index — O(n + max_degree), no sort,
-/// and every reported number is identical to the historical sort-based
-/// computation (`sorted[n/2]`, `sorted[n/10]`; pinned by
-/// tests/test_graph_stats.cpp). `exact_sort = true` keeps the original
-/// sort-per-call path for small-n callers that prefer O(n log n) time over
-/// an O(max_degree) scratch allocation.
-[[nodiscard]] DegreeSummary summarize_degrees(std::vector<int> degrees,
-                                              bool exact_sort = false);
+/// Streams the degrees into a stats::CountHistogram and reads the
+/// percentiles back by sorted index — O(n + max_degree), no sort, and every
+/// reported number is identical to the sort-based computation
+/// (`sorted[n/2]`, `sorted[n/10]`; tests/test_graph_stats.cpp keeps that
+/// sort as its oracle).
+[[nodiscard]] DegreeSummary summarize_degrees(const std::vector<int>& degrees);
 
 /// Out-/in-degree summaries of a digraph.
 [[nodiscard]] DegreeSummary out_degree_summary(const Digraph& g);

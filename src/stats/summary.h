@@ -6,8 +6,7 @@
 // Summary carries no per-sample storage and therefore has no percentiles.
 // Callers that need quantiles stream into stats/histogram.h instead
 // (CountHistogram for exact small-integer quantiles, Log2Histogram for
-// wide-range values); graph_stats' percentile path runs on CountHistogram,
-// with the historical exact sort behind its `exact_sort` flag.
+// wide-range values); graph_stats' percentiles run on CountHistogram.
 #ifndef KADSIM_STATS_SUMMARY_H
 #define KADSIM_STATS_SUMMARY_H
 

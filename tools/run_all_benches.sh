@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# Runs every bench binary (figures, tables, ablations, extensions — incl.
-# the attack_resilience fault-model bench and the scale_family CSR-kernel
-# bench, the suite's long pole at a few minutes — and micros) from an
-# existing build tree: the list is globbed from bench/*.cpp, so new benches
-# are picked up automatically. Figure outputs (CSV + BENCH_*.json + cache)
-# land under ./bench_out/ in the current working directory.
+# Runs every bench binary (figures — which with no arguments runs all its
+# sweeps, ablations and the §6 extension — tables, the other extensions,
+# incl. the attack_resilience fault-model bench and the scale_family
+# CSR-kernel bench, the suite's long pole at a few minutes, and micros) from
+# an existing build tree: the list is globbed from bench/*.cpp, so new
+# benches are picked up automatically. Figure outputs (CSV + BENCH_*.json +
+# cache) land under ./bench_out/ in the current working directory.
 #
 #   tools/run_all_benches.sh [build-dir]
 #

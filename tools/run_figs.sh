@@ -1,14 +1,11 @@
 #!/usr/bin/env bash
-# Runs only the figNN_* binaries — the paper's Figures 1–14 — in order.
+# Runs the paper's Figures 1–14 in order: fig01_even_example, the Figure
+# 2–9 sweeps of the figures binary, fig10_alpha_sweep, then Figures 11–14.
 # See tools/run_all_benches.sh for the tables/ablations/extension benches
 # and the REPRO_* environment knobs.
 #
 #   tools/run_figs.sh [build-dir]
 set -euo pipefail
-
-# Figure sources are globbed from the repo root; the build dir and bench_out/
-# stay relative to the caller's working directory.
-repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 
 build_dir="${1:-build}"
 if [[ ! -d "${build_dir}" ]]; then
@@ -16,9 +13,16 @@ if [[ ! -d "${build_dir}" ]]; then
     exit 1
 fi
 
+steps=(
+    "fig01_even_example"
+    "figures fig02 fig03 fig04 fig05 fig06 fig07 fig08 fig09"
+    "fig10_alpha_sweep"
+    "figures fig11a fig11b fig12a fig12b fig13a fig13b fig14a fig14b"
+)
+
 failed=0
-for src in "${repo_root}"/bench/fig*.cpp; do
-    name="$(basename "${src}" .cpp)"
+for step in "${steps[@]}"; do
+    read -r name args <<<"${step}"
     bin="${build_dir}/${name}"
     if [[ ! -x "${bin}" ]]; then
         echo "error: ${bin} not built" >&2
@@ -26,9 +30,10 @@ for src in "${repo_root}"/bench/fig*.cpp; do
         continue
     fi
     echo
-    echo "##### ${name}"
-    if ! "${bin}"; then
-        echo "FAILED: ${name}" >&2
+    echo "##### ${step}"
+    # shellcheck disable=SC2086  # args is a space-separated id list
+    if ! "${bin}" ${args}; then
+        echo "FAILED: ${step}" >&2
         failed=1
     fi
 done
