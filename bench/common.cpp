@@ -182,10 +182,6 @@ std::string json_escape(const std::string& in) {
     return out;
 }
 
-bool parse_sample_row(std::string_view line, core::ResilienceSample& out) {
-    return serve::ResultCache::parse_sample_row(line, out);
-}
-
 void ProgressSink::line(const std::string& label, const std::string& text) {
     std::lock_guard lock(mutex_);
     std::printf("  [%s] %s\n", label.c_str(), text.c_str());
@@ -193,7 +189,7 @@ void ProgressSink::line(const std::string& label, const std::string& text) {
 }
 
 void ProgressSink::sample(const std::string& label,
-                          const core::ConnectivitySample& s) {
+                          const core::ResilienceSample& s) {
     std::lock_guard lock(mutex_);
     std::printf("  [%s] t=%6.0f min  n=%5d  kappa_min=%4d  kappa_avg=%7.2f  "
                 "lambda_min=%4d  scc=%.3f\n",
@@ -238,7 +234,7 @@ std::vector<core::ExperimentSeries> run_cached_batch(
     if (threads > 1) pool.emplace(threads);
     auto fresh = core::run_experiment_batch(
         to_run, pool ? &*pool : nullptr,
-        [&](std::size_t index, const core::ConnectivitySample& s) {
+        [&](std::size_t index, const core::ResilienceSample& s) {
             sink.sample(labels[missing[index]], s);
         },
         [&](std::size_t index, const core::ExperimentSeries& series) {

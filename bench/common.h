@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/experiment.h"
@@ -55,7 +54,7 @@ public:
     /// `[label] <text>` as one atomic line.
     void line(const std::string& label, const std::string& text);
     /// The standard per-snapshot narration line.
-    void sample(const std::string& label, const core::ConnectivitySample& s);
+    void sample(const std::string& label, const core::ResilienceSample& s);
 
 private:
     std::mutex mutex_;
@@ -98,15 +97,6 @@ void write_file(const std::string& path, const std::string& text);
 /// bytes. Every BENCH_<id>.json records it alongside wall time so memory
 /// regressions show up in the same artifact as throughput regressions.
 [[nodiscard]] std::uint64_t peak_rss_bytes();
-
-/// Parses one cache-CSV data row (the 28-column ResilienceSample
-/// serialization of store_cached) into `out`. Returns false on any
-/// malformed, short, or over-long row — the caller treats that as a cache
-/// miss. std::from_chars end to end: parsing allocates nothing, which keeps
-/// cache probing linear and allocation-free even for multi-thousand-row
-/// series (tests/test_bench_cache.cpp pins the allocation count).
-[[nodiscard]] bool parse_sample_row(std::string_view line,
-                                    core::ResilienceSample& out);
 
 /// Output directory ("bench_out", created on demand).
 std::string output_dir();

@@ -13,7 +13,6 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
-#include <unordered_map>
 
 #include "bench/common.h"
 #include "core/registry.h"
@@ -21,7 +20,6 @@
 #include "kad/routing_table.h"
 #include "scen/runner.h"
 #include "sim/calendar_queue.h"
-#include "sim/event_queue.h"
 #include "util/env.h"
 #include "util/rng.h"
 
@@ -78,26 +76,8 @@ void BM_RoutingTableClosest(benchmark::State& state) {
 }
 BENCHMARK(BM_RoutingTableClosest);
 
-void BM_EventQueuePushPop(benchmark::State& state) {
-    sim::EventQueue queue;
-    util::Rng rng(3);
-    // Keep a standing population of events, push/pop one per iteration.
-    for (int i = 0; i < 10000; ++i) {
-        queue.push(static_cast<sim::SimTime>(rng.next_below(1000000)), [] {});
-    }
-    for (auto _ : state) {
-        auto entry = queue.pop();
-        benchmark::DoNotOptimize(entry.time);
-        queue.push(entry.time + static_cast<sim::SimTime>(rng.next_below(1000)),
-                   [] {});
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_EventQueuePushPop);
-
 void BM_CalendarQueuePushPop(benchmark::State& state) {
-    // Same standing-population workload as BM_EventQueuePushPop: the ratio
-    // of the two is the calendar queue's win over the binary heap.
+    // Keep a standing population of events, push/pop one per iteration.
     sim::CalendarQueue queue;
     util::Rng rng(3);
     for (int i = 0; i < 10000; ++i) {
@@ -152,20 +132,16 @@ void BM_SnapshotExtraction(benchmark::State& state) {
 }
 BENCHMARK(BM_SnapshotExtraction)->Unit(benchmark::kMicrosecond);
 
-/// Shared body of the snapshot-pipeline meters. The flat arm drives the
-/// production path: Runner::capture into a reused CSR slab, then
-/// FlatSnapshot::to_digraph (dense translate + counting-sort compaction).
-/// The legacy arm reproduces the pre-flat pipeline as the speedup baseline:
-/// one heap vector per node filled through the for_each_entry callback, then
-/// the hash-map address remap with per-edge add_edge + finalize. Counters:
+/// Shared body of the snapshot-pipeline meters: the production path,
+/// Runner::capture into a reused CSR slab, then FlatSnapshot::to_digraph
+/// (dense translate + counting-sort compaction). Counters:
 /// snapshot_capture_us / graph_build_us (per-iteration averages) and
 /// snapshot_arena_bytes (resident capture-slab footprint).
 void snapshot_capture_bench(benchmark::State& state,
                             const scen::ScenarioConfig& scenario,
-                            sim::SimTime horizon, bool legacy) {
+                            sim::SimTime horizon) {
     scen::Runner runner(scenario);
     runner.step_to(horizon);
-    const auto regions = static_cast<net::Address>(scenario.regions);
     const auto elapsed_us = [](std::chrono::steady_clock::time_point a,
                                std::chrono::steady_clock::time_point b) {
         return static_cast<std::uint64_t>(
@@ -175,62 +151,18 @@ void snapshot_capture_bench(benchmark::State& state,
     std::uint64_t build_us = 0;
     std::uint64_t arena_bytes = 0;
     std::int64_t edges = 0;
-    graph::RoutingSnapshot snap;  // reused flat buffer (flat arm)
+    graph::RoutingSnapshot snap;  // reused flat buffer
     for (auto _ : state) {
-        if (legacy) {
-            const auto t0 = std::chrono::steady_clock::now();
-            std::vector<graph::SnapshotNode> nodes;
-            nodes.reserve(runner.live_addresses().size());
-            for (const net::Address global : runner.live_addresses()) {
-                graph::SnapshotNode record;
-                record.address = global;
-                const kad::RoutingTable& table = runner.node(global)->routing_table();
-                record.contacts.reserve(table.size());
-                table.for_each_entry([&](const kad::RoutingTable::Entry& entry) {
-                    record.contacts.push_back(entry.contact.address * regions +
-                                              global % regions);
-                });
-                nodes.push_back(std::move(record));
-            }
-            const auto t1 = std::chrono::steady_clock::now();
-            std::unordered_map<net::Address, int> index;
-            index.reserve(nodes.size());
-            for (std::size_t i = 0; i < nodes.size(); ++i) {
-                index.emplace(nodes[i].address, static_cast<int>(i));
-            }
-            graph::Digraph g(static_cast<int>(nodes.size()));
-            for (std::size_t i = 0; i < nodes.size(); ++i) {
-                for (const net::Address contact : nodes[i].contacts) {
-                    const auto it = index.find(contact);
-                    if (it == index.end() || it->second == static_cast<int>(i)) {
-                        continue;
-                    }
-                    g.add_edge(static_cast<int>(i), it->second);
-                }
-            }
-            g.finalize();
-            const auto t2 = std::chrono::steady_clock::now();
-            capture_us += elapsed_us(t0, t1);
-            build_us += elapsed_us(t1, t2);
-            edges = g.edge_count();
-            arena_bytes = 0;
-            for (const auto& node : nodes) {
-                arena_bytes += node.contacts.capacity() * sizeof(net::Address) +
-                               sizeof(graph::SnapshotNode);
-            }
-            benchmark::DoNotOptimize(edges);
-        } else {
-            const auto t0 = std::chrono::steady_clock::now();
-            runner.capture(snap);
-            const auto t1 = std::chrono::steady_clock::now();
-            const graph::Digraph g = snap.to_digraph();
-            const auto t2 = std::chrono::steady_clock::now();
-            capture_us += elapsed_us(t0, t1);
-            build_us += elapsed_us(t1, t2);
-            edges = g.edge_count();
-            arena_bytes = snap.flat().memory_bytes();
-            benchmark::DoNotOptimize(edges);
-        }
+        const auto t0 = std::chrono::steady_clock::now();
+        runner.capture(snap);
+        const auto t1 = std::chrono::steady_clock::now();
+        const graph::Digraph g = snap.to_digraph();
+        const auto t2 = std::chrono::steady_clock::now();
+        capture_us += elapsed_us(t0, t1);
+        build_us += elapsed_us(t1, t2);
+        edges = g.edge_count();
+        arena_bytes = snap.flat().memory_bytes();
+        benchmark::DoNotOptimize(edges);
     }
     const auto avg = benchmark::Counter::kAvgIterations;
     state.counters["snapshot_capture_us"] =
@@ -258,30 +190,15 @@ void snapshot_capture_bench(benchmark::State& state,
 }
 
 void BM_SnapshotCapture(benchmark::State& state) {
-    snapshot_capture_bench(state, snapshot_capture_scenario(), sim::minutes(60),
-                           /*legacy=*/false);
+    snapshot_capture_bench(state, snapshot_capture_scenario(), sim::minutes(60));
 }
 BENCHMARK(BM_SnapshotCapture)->Unit(benchmark::kMicrosecond);
 
-void BM_SnapshotCaptureLegacy(benchmark::State& state) {
-    snapshot_capture_bench(state, snapshot_capture_scenario(), sim::minutes(60),
-                           /*legacy=*/true);
-}
-BENCHMARK(BM_SnapshotCaptureLegacy)->Unit(benchmark::kMicrosecond);
-
-/// The acceptance-scale pair (sim_100k registry scenario, 16 regions) —
-/// registered in main() above the quick tier. The flat/legacy ratio is the
-/// PR's ≥5× acceptance criterion.
+/// The acceptance-scale meter (sim_100k registry scenario, 16 regions) —
+/// registered in main() above the quick tier.
 void BM_SnapshotCapture100k(benchmark::State& state) {
     const auto cfg = core::PaperScenarios(core::ReproScale::from_env()).sim_100k();
-    snapshot_capture_bench(state, cfg.scenario, sim::minutes(10),
-                           /*legacy=*/false);
-}
-
-void BM_SnapshotCapture100kLegacy(benchmark::State& state) {
-    const auto cfg = core::PaperScenarios(core::ReproScale::from_env()).sim_100k();
-    snapshot_capture_bench(state, cfg.scenario, sim::minutes(10),
-                           /*legacy=*/true);
+    snapshot_capture_bench(state, cfg.scenario, sim::minutes(10));
 }
 
 void BM_SimThroughput5k(benchmark::State& state) {
@@ -411,9 +328,6 @@ int main(int argc, char** argv) {
             ->Unit(benchmark::kMillisecond);
         benchmark::RegisterBenchmark("BM_SnapshotCapture100k",
                                      BM_SnapshotCapture100k)
-            ->Unit(benchmark::kMillisecond);
-        benchmark::RegisterBenchmark("BM_SnapshotCapture100kLegacy",
-                                     BM_SnapshotCapture100kLegacy)
             ->Unit(benchmark::kMillisecond);
     }
     if (util::repro_scale() == util::ReproScale::kFull) {

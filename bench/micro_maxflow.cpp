@@ -8,7 +8,6 @@
 
 #include "exec/thread_pool.h"
 #include "flow/dinic.h"
-#include "flow/edmonds_karp.h"
 #include "flow/even_transform.h"
 #include "flow/flow_workspace.h"
 #include "flow/push_relabel.h"
@@ -80,12 +79,8 @@ void BM_Dinic(benchmark::State& state) { solver_bench<flow::Dinic>(state); }
 void BM_PushRelabel(benchmark::State& state) {
     solver_bench<flow::PushRelabel>(state);
 }
-void BM_EdmondsKarp(benchmark::State& state) {
-    solver_bench<flow::EdmondsKarp>(state);
-}
 BENCHMARK(BM_Dinic)->Arg(250)->Arg(500)->Arg(1000);
 BENCHMARK(BM_PushRelabel)->Arg(250)->Arg(500)->Arg(1000);
-BENCHMARK(BM_EdmondsKarp)->Arg(250);
 
 void BM_SampledConnectivity(benchmark::State& state) {
     // One full κ(D) evaluation with the paper's c = 0.02 sampling, inline on

@@ -9,13 +9,13 @@
 //
 // The binary also runs the incremental-analysis *gate*: the same n = 2000
 // overlay, snapshotted at a one-minute cadence inside the churn phase, is
-// analyzed twice — plain κ+λ sweeps versus sparse-certificate +
-// snapshot-delta sweeps (graph/certificate.h, analysis/incremental.h). The
-// gate asserts every κ/λ aggregate is bit-identical across the two arms and
-// reports the wall-time ratio; the JSON carries "gate_pass" plus the
-// cert_edges_kept / cert_build_us / delta_pairs_reused counters so CI can
-// assert the accelerated path actually engaged. docs/figures.md describes
-// the expected numbers.
+// analyzed twice by the shipped κ/λ sweep (flow/connectivity_sweep.h) —
+// plain versus with the snapshot-delta reuse hooks (analysis/incremental.h)
+// the analyzer and the daemon attach. The gate asserts every κ/λ aggregate
+// is bit-identical across the two arms and reports the wall-time ratio; the
+// JSON carries "gate_pass" plus the delta_pairs_reused counter so CI can
+// assert the delta path actually engaged. docs/figures.md describes the
+// expected numbers.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -25,10 +25,9 @@
 
 #include "analysis/incremental.h"
 #include "bench/common.h"
-#include "core/analyzer.h"
 #include "core/registry.h"
 #include "exec/thread_pool.h"
-#include "flow/edge_connectivity.h"
+#include "flow/connectivity_sweep.h"
 #include "flow/vertex_connectivity.h"
 #include "scen/runner.h"
 #include "util/env.h"
@@ -40,7 +39,7 @@ using namespace kadsim;
 struct ScaleRun {
     std::string label;
     core::ExperimentConfig config;
-    std::vector<core::ConnectivitySample> samples;
+    std::vector<core::ResilienceSample> samples;
     double wall_seconds = 0.0;
     std::uint64_t peak_arena_bytes = 0;
     std::uint64_t arcs_touched = 0;
@@ -50,12 +49,15 @@ struct ScaleRun {
 
 void run_one(ScaleRun& run, exec::ThreadPool& pool, bench::ProgressSink& sink) {
     const auto start = std::chrono::steady_clock::now();
-    const core::ConnectivityAnalyzer analyzer(run.config.analyzer);
+    flow::ConnectivityOptions options;
+    options.sample_fraction = run.config.analyzer.sample_c;
+    options.min_sources = run.config.analyzer.min_sources;
+    options.pool = &pool;
     scen::Runner runner(run.config.scenario);
     runner.run(run.config.snapshot_interval, [&](const graph::RoutingSnapshot& snap) {
         const graph::Digraph g = snap.to_digraph(&pool);
-        const flow::ConnectivityResult r = analyzer.analyze_graph(g, &pool);
-        core::ConnectivitySample sample;
+        const flow::ConnectivityResult r = flow::vertex_connectivity(g, options);
+        core::ResilienceSample sample;
         sample.time_min = static_cast<double>(snap.time_ms) / 60000.0;
         sample.n = r.n;
         sample.m = r.m;
@@ -93,65 +95,52 @@ struct GateSample {
 struct GateArm {
     std::vector<GateSample> samples;
     double wall_seconds = 0.0;
-    std::uint64_t cert_edges_kept = 0;  // max over snapshots (κ and λ builds)
-    std::uint64_t cert_build_us = 0;    // total over snapshots
-    std::uint64_t pairs_reused = 0;     // total, κ + λ
+    std::uint64_t pairs_reused = 0;  // total, κ + λ
 };
 
 /// One-minute snapshot cadence keeps inter-snapshot churn at one
 /// leave + one join, which is what witness revalidation is built for;
-/// starting inside the churn phase (t ≥ 120) makes the overlay
-/// degree-diverse, which is what the certificate is built for.
+/// starting inside the churn phase (t ≥ 120) puts that churn in every
+/// snapshot delta.
 constexpr int kGateSnapshots = 6;
 constexpr long long kGateStartMin = 120;
 
-/// Minimum accepted baseline/accelerated wall ratio. Measured on the
-/// reference container (1 core, n = 2000, 6 snapshots): baseline 1445.6 s,
-/// accelerated 775.6 s → 1.86×. The accelerated arm's floor is the pair
-/// fraction whose witnesses do NOT revalidate across a snapshot delta
-/// (~44% here — delta_pairs_reused 433667 of the κ+λ pair budget) and must
-/// be recomputed from scratch; certificate construction is noise (0.4 s of
-/// 775 s). The original 3× target assumed near-total reuse at one-minute
-/// cadence, which the measured witness-invalidation rate rules out, so the
-/// gate asserts 1.5× — far enough below the measured 1.86× to absorb
-/// machine noise, high enough that a disengaged accelerated path (ratio
-/// ~1.0) still fails loudly.
+/// Minimum accepted baseline/delta wall ratio. Measured on a shared 4-vCPU
+/// host (4 pool threads, n = 2000, 6 snapshots): plain sweeps 253.9 s,
+/// delta sweeps 144.9 s → 1.75×, with 213,849 κ+λ pairs reused. The delta
+/// arm's floor is the pairs whose witnesses do NOT revalidate across a
+/// snapshot delta and must be recomputed from scratch. 1.5× sits far enough
+/// below the measured ratio to absorb machine noise, and high enough that a
+/// disengaged delta path (ratio ~1.0) still fails loudly.
 constexpr double kGateMinSpeedup = 1.5;
 
+/// One arm of the gate: the shipped κ/λ sweep over every snapshot, with
+/// the snapshot-delta reuse hooks attached when `delta` is set.
 GateArm run_gate_arm(const std::vector<graph::RoutingSnapshot>& snaps,
-                     const core::ReproScale& scale, bool accelerated,
+                     const core::ReproScale& scale, bool delta,
                      exec::ThreadPool& pool) {
     GateArm arm;
     analysis::SnapshotDeltaCache cache;
     const auto start = std::chrono::steady_clock::now();
     for (const auto& snap : snaps) {
         const graph::Digraph g = snap.to_digraph();
-        if (accelerated) cache.begin_snapshot(snap, g);
+        if (delta) cache.begin_snapshot(snap, g);
 
-        flow::ConnectivityOptions ko;
-        ko.sample_fraction = scale.sample_c;
-        ko.min_sources = scale.min_sources;
-        ko.pool = &pool;
-        ko.use_certificate = accelerated;
-        ko.reuse = accelerated ? cache.kappa_hook() : nullptr;
-        const flow::ConnectivityResult kr = flow::vertex_connectivity(g, ko);
+        flow::ConnectivityOptions options;
+        options.sample_fraction = scale.sample_c;
+        options.min_sources = scale.min_sources;
+        options.pool = &pool;
+        options.reuse = delta ? cache.kappa_hook() : nullptr;
+        const flow::ConnectivitySweepResult r = flow::connectivity_sweep(
+            g, options, delta ? cache.lambda_hook() : nullptr);
 
-        flow::EdgeConnectivityOptions lo;
-        lo.sample_fraction = scale.sample_c;
-        lo.min_sources = scale.min_sources;
-        lo.pool = &pool;
-        lo.use_certificate = accelerated;
-        lo.reuse = accelerated ? cache.lambda_hook() : nullptr;
-        const flow::EdgeConnectivityResult lr = flow::edge_connectivity(g, lo);
+        if (delta) cache.end_snapshot();
 
-        if (accelerated) cache.end_snapshot();
-
+        const flow::ConnectivityResult& kr = r.kappa;
+        const flow::EdgeConnectivityResult& lr = r.lambda;
         arm.samples.push_back({kr.kappa_min, kr.kappa_avg, kr.kappa_sum,
                                kr.pairs_evaluated, lr.lambda_min, lr.lambda_avg,
                                lr.lambda_sum, lr.pairs_evaluated});
-        arm.cert_edges_kept = std::max(
-            {arm.cert_edges_kept, kr.cert_edges_kept, lr.cert_edges_kept});
-        arm.cert_build_us += kr.cert_build_us + lr.cert_build_us;
         arm.pairs_reused += kr.pairs_reused + lr.pairs_reused;
     }
     arm.wall_seconds =
@@ -185,9 +174,9 @@ GateResult run_gate(const core::PaperScenarios& scenarios,
         snaps.push_back(runner.snapshot());
     }
 
-    sink.line("gate", "baseline arm: full κ+λ sweeps");
+    sink.line("gate", "baseline arm: plain κ/λ sweeps");
     gate.baseline = run_gate_arm(snaps, scenarios.scale(), false, pool);
-    sink.line("gate", "accelerated arm: certificate + snapshot-delta sweeps");
+    sink.line("gate", "accelerated arm: κ/λ sweeps with snapshot-delta reuse");
     gate.accelerated = run_gate_arm(snaps, scenarios.scale(), true, pool);
 
     gate.identical = gate.baseline.samples == gate.accelerated.samples;
@@ -214,8 +203,6 @@ void write_json(const std::vector<ScaleRun>& runs, const GateResult& gate,
         << "\"speedup\": " << gate.speedup << ", "
         << "\"min_speedup\": " << kGateMinSpeedup << ", "
         << "\"identical\": " << (gate.identical ? "true" : "false") << ", "
-        << "\"cert_edges_kept\": " << gate.accelerated.cert_edges_kept << ", "
-        << "\"cert_build_us\": " << gate.accelerated.cert_build_us << ", "
         << "\"delta_pairs_reused\": " << gate.accelerated.pairs_reused << ", "
         << "\"gate_pass\": \"" << (gate.pass ? "PASS" : "FAIL") << "\"},\n"
         << "  \"runs\": [\n";
@@ -282,11 +269,8 @@ int main() {
     std::printf("\nincremental-analysis gate (n=%d, %d snapshots, 1-min cadence):\n",
                 gate.n, kGateSnapshots);
     std::printf("  baseline    %8.1f s\n", gate.baseline.wall_seconds);
-    std::printf("  cert+delta  %8.1f s   (cert_edges_kept=%llu, "
-                "cert_build_us=%llu, delta_pairs_reused=%llu)\n",
+    std::printf("  delta       %8.1f s   (delta_pairs_reused=%llu)\n",
                 gate.accelerated.wall_seconds,
-                static_cast<unsigned long long>(gate.accelerated.cert_edges_kept),
-                static_cast<unsigned long long>(gate.accelerated.cert_build_us),
                 static_cast<unsigned long long>(gate.accelerated.pairs_reused));
     std::printf("  speedup     %8.2fx   (threshold %.1fx)   identical=%s  ->  %s\n",
                 gate.speedup, kGateMinSpeedup, gate.identical ? "yes" : "NO",

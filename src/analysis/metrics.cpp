@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <array>
-#include <exception>
-#include <future>
 #include <vector>
 
 #include "analysis/structure.h"
-#include "exec/thread_pool.h"
 
 namespace kadsim::analysis {
 
@@ -54,35 +51,7 @@ std::span<const SnapshotMetric* const> default_metrics() {
 ResilienceMetrics run_metrics(std::span<const SnapshotMetric* const> suite,
                               const MetricContext& context) {
     ResilienceMetrics out;
-    if (context.pool == nullptr || exec::ThreadPool::in_worker() ||
-        suite.size() <= 1) {
-        for (const SnapshotMetric* metric : suite) metric->analyze(context, out);
-        return out;
-    }
-    // Fan out everything but the first metric; each task writes only the
-    // fields its metric owns (see the header's determinism contract), so the
-    // shared `out` needs no lock. Every submitted task must be joined before
-    // this frame unwinds — collect the first error but keep waiting.
-    std::vector<std::future<void>> futures;
-    futures.reserve(suite.size() - 1);
-    for (std::size_t i = 1; i < suite.size(); ++i) {
-        futures.push_back(context.pool->submit(
-            [metric = suite[i], &context, &out] { metric->analyze(context, out); }));
-    }
-    std::exception_ptr error;
-    try {
-        suite.front()->analyze(context, out);
-    } catch (...) {
-        error = std::current_exception();
-    }
-    for (auto& future : futures) {
-        try {
-            context.pool->wait_get(future);
-        } catch (...) {
-            if (!error) error = std::current_exception();
-        }
-    }
-    if (error) std::rethrow_exception(error);
+    for (const SnapshotMetric* metric : suite) metric->analyze(context, out);
     return out;
 }
 

@@ -4,16 +4,15 @@
 // adds the richer structural measures its framing (and the companion CPS
 // study, plus Ferretti 2013) motivates: strong/weak reachability fractions,
 // articulation points and bridges, and degree summaries. Each measure is a
-// SnapshotMetric; core::ConnectivityAnalyzer runs the suite as pool work
-// alongside the κ/λ sweep (flow/connectivity_sweep.h), which yields the
-// sampled edge connectivity λ together with κ, and folds both into
-// ResilienceSample.
+// SnapshotMetric; core::ConnectivityAnalyzer runs the whole suite as one
+// pool task alongside the κ/λ sweep (flow/connectivity_sweep.h), which
+// yields the sampled edge connectivity λ together with κ, and folds both
+// into ResilienceSample.
 //
 // Determinism contract: a metric is a pure function of the snapshot graph —
 // no RNG, no shared mutable state — and writes only the ResilienceMetrics
-// fields it owns, so the suite may fan out across threads (each field is
-// written by exactly one task) and every value is bit-identical for any
-// thread count.
+// fields it owns, so every value is bit-identical for any thread count and
+// any suite order.
 #ifndef KADSIM_ANALYSIS_METRICS_H
 #define KADSIM_ANALYSIS_METRICS_H
 
@@ -32,19 +31,17 @@ class PairReuseHook;
 
 namespace kadsim::analysis {
 
-/// What a metric sees: the snapshot's connectivity graph plus the sampling
-/// parameters and execution pool the κ/λ sweep uses.
+/// What a metric sees: the snapshot's connectivity graph. No suite metric
+/// reads the other fields; they describe the κ/λ sweep run beside the suite
+/// and stay only until bench/kadbench/replica.cpp, which sets them, is
+/// retired.
 struct MetricContext {
     const graph::Digraph& g;
     double sample_c = 1.0;
     int min_sources = 1;
     exec::ThreadPool* pool = nullptr;
-    /// Preprocess flow-metric graphs with the Nagamochi–Ibaraki sparse
-    /// certificate (graph/certificate.h); values are unchanged.
     bool use_certificate = false;
-    /// Cross-snapshot λ reuse hook (analysis/incremental.h), or nullptr,
-    /// for callers that run λ beside the suite; no suite metric reads it.
-    /// Not owned.
+    /// Cross-snapshot λ reuse hook (analysis/incremental.h). Not owned.
     flow::PairReuseHook* lambda_reuse = nullptr;
 };
 
@@ -64,7 +61,7 @@ struct ResilienceMetrics {
 };
 
 /// One resilience measure over a snapshot graph. Implementations must be
-/// stateless (analyze is called concurrently from many threads) and must
+/// stateless (analyzers on different threads share the instances) and must
 /// write only the ResilienceMetrics fields they own — see the determinism
 /// contract in the file comment.
 class SnapshotMetric {
@@ -105,10 +102,8 @@ public:
 /// The default suite: every metric above, as shared stateless instances.
 [[nodiscard]] std::span<const SnapshotMetric* const> default_metrics();
 
-/// Runs every metric of `suite` on one snapshot. With a pool (and outside a
-/// pool worker) metrics run as concurrent tasks; results are bit-identical
-/// either way. Metrics writing disjoint fields of one shared struct is what
-/// makes the concurrent fan-out race-free.
+/// Runs every metric of `suite` on one snapshot, in order, on the calling
+/// thread.
 [[nodiscard]] ResilienceMetrics run_metrics(
     std::span<const SnapshotMetric* const> suite, const MetricContext& context);
 

@@ -9,23 +9,6 @@
 
 namespace kadsim::core {
 
-namespace {
-
-flow::ConnectivityOptions flow_options(const AnalyzerOptions& options,
-                                       exec::ThreadPool* pool,
-                                       flow::PairReuseHook* reuse) {
-    flow::ConnectivityOptions out;
-    out.sample_fraction = options.sample_c;
-    out.min_sources = options.min_sources;
-    out.pool = pool;
-    out.use_push_relabel = options.use_push_relabel;
-    out.use_certificate = options.use_certificate;
-    out.reuse = reuse;
-    return out;
-}
-
-}  // namespace
-
 ResilienceSample ConnectivityAnalyzer::analyze(const graph::RoutingSnapshot& snap,
                                                exec::ThreadPool* pool) const {
     ResilienceSample sample;
@@ -78,8 +61,14 @@ ResilienceSample ConnectivityAnalyzer::analyze(const graph::RoutingSnapshot& sna
     // The κ/λ sweep fans out over every pool lane, and the structural
     // metrics ride one pool task queued ahead of its flow jobs. Both are
     // deterministic, so the schedule never changes a value.
-    const analysis::MetricContext context{g, options_.sample_c, options_.min_sources,
-                                          pool, options_.use_certificate};
+    const analysis::MetricContext context{g};
+    flow::ConnectivityOptions sweep_options;
+    sweep_options.sample_fraction = options_.sample_c;
+    sweep_options.min_sources = options_.min_sources;
+    sweep_options.pool = pool;
+    sweep_options.use_push_relabel = options_.use_push_relabel;
+    sweep_options.use_certificate = options_.use_certificate;
+    sweep_options.reuse = delta_ != nullptr ? delta_->kappa_hook() : nullptr;
     analysis::ResilienceMetrics metrics;
     std::future<void> structure;
     flow::ConnectivitySweepResult sweep;
@@ -90,10 +79,7 @@ ResilienceSample ConnectivityAnalyzer::analyze(const graph::RoutingSnapshot& sna
                 [&context, &metrics] { metrics = analysis::run_metrics(context); });
         }
         sweep = flow::connectivity_sweep(
-            g,
-            flow_options(options_, pool,
-                         delta_ != nullptr ? delta_->kappa_hook() : nullptr),
-            delta_ != nullptr ? delta_->lambda_hook() : nullptr);
+            g, sweep_options, delta_ != nullptr ? delta_->lambda_hook() : nullptr);
         if (!structure.valid()) metrics = analysis::run_metrics(context);
     } catch (...) {
         error = std::current_exception();
@@ -130,12 +116,6 @@ ResilienceSample ConnectivityAnalyzer::analyze(const graph::RoutingSnapshot& sna
     sample.kappa_degree_gap =
         std::min(metrics.out_degree_min, metrics.in_degree_min) - sample.kappa_min;
     return sample;
-}
-
-flow::ConnectivityResult ConnectivityAnalyzer::analyze_graph(
-    const graph::Digraph& g, exec::ThreadPool* pool,
-    flow::PairReuseHook* reuse) const {
-    return flow::vertex_connectivity(g, flow_options(options_, pool, reuse));
 }
 
 }  // namespace kadsim::core

@@ -12,7 +12,6 @@
 
 #include "analysis/incremental.h"
 #include "analysis/metrics.h"
-#include "flow/vertex_connectivity.h"
 #include "graph/snapshot.h"
 
 namespace kadsim::exec {
@@ -32,11 +31,14 @@ struct AnalyzerOptions {
     /// bit-identical for any value.
     int threads = 1;
     /// Solve with the HIPR-style push-relabel instead of Dinic.
+    /// Off on every user path; kept only until bench/kadbench/replica.cpp,
+    /// which still sets it, is retired.
     bool use_push_relabel = false;
     /// Preprocess each snapshot graph with the Nagamochi–Ibaraki sparse
     /// certificate before the κ/λ flow sweeps (graph/certificate.h). The
     /// certificate degree k is chosen above every evaluated pair's cap, so
-    /// reported values are bit-identical with or without it.
+    /// reported values are bit-identical with or without it. Off on every
+    /// user path; kept only until bench/kadbench/replica.cpp is retired.
     bool use_certificate = false;
     /// Reuse bound-settled κ/λ pairs across consecutive snapshots via
     /// witness revalidation (analysis/incremental.h). Values stay
@@ -91,9 +93,6 @@ struct ResilienceSample {
     double probe_hop_p99 = 0.0;
 };
 
-/// The pre-metric-suite name; κ-focused call sites keep using it.
-using ConnectivitySample = ResilienceSample;
-
 class ConnectivityAnalyzer {
 public:
     explicit ConnectivityAnalyzer(AnalyzerOptions options) : options_(options) {}
@@ -108,12 +107,6 @@ public:
     /// analyzer); without it, analyze is const-threadsafe.
     [[nodiscard]] ResilienceSample analyze(const graph::RoutingSnapshot& snap,
                                            exec::ThreadPool* pool = nullptr) const;
-
-    /// κ on an already-built connectivity graph. `reuse` (optional, not
-    /// owned) is handed to the kernel as ConnectivityOptions::reuse.
-    [[nodiscard]] flow::ConnectivityResult analyze_graph(
-        const graph::Digraph& g, exec::ThreadPool* pool = nullptr,
-        flow::PairReuseHook* reuse = nullptr) const;
 
     [[nodiscard]] const AnalyzerOptions& options() const noexcept { return options_; }
 

@@ -75,7 +75,7 @@ stats::Summary ExperimentSeries::lambda_min_summary(double begin_min,
 
 namespace {
 
-using ProgressFn = std::function<void(const ConnectivitySample&)>;
+using ProgressFn = std::function<void(const ResilienceSample&)>;
 
 /// The original engine: simulate and analyze alternately on one thread.
 /// Also the per-task body of run_experiment_batch (with `pool` null) — then
@@ -94,7 +94,7 @@ ExperimentSeries run_sequential(const ExperimentConfig& config,
 
     runner.run(config.snapshot_interval,
                [&](const graph::RoutingSnapshot& snap) {
-                   ConnectivitySample sample = analyzer.analyze(snap, pool);
+                   ResilienceSample sample = analyzer.analyze(snap, pool);
                    if (on_progress) on_progress(sample);
                    series.samples.push_back(sample);
                });
@@ -115,7 +115,7 @@ struct PendingSnapshot {
 /// run would produce.
 class OrderedEmitter {
 public:
-    void complete(std::size_t index, ConnectivitySample sample,
+    void complete(std::size_t index, ResilienceSample sample,
                   const ProgressFn& on_progress) {
         std::lock_guard lock(mutex_);
         if (index >= done_.size()) done_.resize(index + 1);
@@ -123,15 +123,15 @@ public:
         while (next_ < done_.size() && done_[next_].has_value()) {
             // Advance before invoking: a throwing callback must not see the
             // same sample re-delivered by the next completion.
-            const ConnectivitySample& ready = *done_[next_];
+            const ResilienceSample& ready = *done_[next_];
             ++next_;
             if (on_progress) on_progress(ready);
         }
     }
 
     /// All samples in snapshot order (call after every worker joined).
-    std::vector<ConnectivitySample> take() {
-        std::vector<ConnectivitySample> samples;
+    std::vector<ResilienceSample> take() {
+        std::vector<ResilienceSample> samples;
         samples.reserve(done_.size());
         for (auto& sample : done_) {
             KADSIM_ASSERT_MSG(sample.has_value(), "pipeline lost a snapshot");
@@ -142,7 +142,7 @@ public:
 
 private:
     std::mutex mutex_;
-    std::vector<std::optional<ConnectivitySample>> done_;
+    std::vector<std::optional<ResilienceSample>> done_;
     std::size_t next_ = 0;
 };
 
@@ -257,7 +257,7 @@ std::vector<ExperimentSeries> run_experiment_batch(
 
     const auto progress_for = [&on_progress](std::size_t index) -> ProgressFn {
         if (!on_progress) return nullptr;
-        return [&on_progress, index](const ConnectivitySample& sample) {
+        return [&on_progress, index](const ResilienceSample& sample) {
             on_progress(index, sample);
         };
     };

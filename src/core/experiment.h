@@ -38,7 +38,7 @@ struct ExperimentConfig {
 /// The analyzed output of one simulation run.
 struct ExperimentSeries {
     std::string name;
-    std::vector<ConnectivitySample> samples;
+    std::vector<ResilienceSample> samples;
     stats::TimeSeries network_size;  // per simulated minute
     /// Wall-clock cost of producing this series (not part of the result
     /// data; 0 when the series was loaded from a cache).
@@ -73,13 +73,13 @@ struct ExperimentSeries {
 /// across all of these modes.
 [[nodiscard]] ExperimentSeries run_experiment(
     const ExperimentConfig& config,
-    const std::function<void(const ConnectivitySample&)>& on_progress = nullptr,
+    const std::function<void(const ResilienceSample&)>& on_progress = nullptr,
     exec::ThreadPool* pool = nullptr);
 
 /// Per-sample progress for a batch: (config index, sample). May be invoked
 /// concurrently for *different* configs; per config it is in snapshot order.
 using BatchProgress =
-    std::function<void(std::size_t config_index, const ConnectivitySample&)>;
+    std::function<void(std::size_t config_index, const ResilienceSample&)>;
 
 /// Per-config completion for a batch, invoked on the calling thread in
 /// config order as results are collected — cache layers persist finished

@@ -26,7 +26,6 @@
 #include <cstdint>
 
 #include "flow/flow_network.h"
-#include "flow/flow_workspace.h"
 #include "graph/digraph.h"
 
 namespace kadsim::exec {
@@ -90,25 +89,6 @@ struct EdgeConnectivityResult {
 /// arc per edge with capacity 1. The arc of the connectivity-graph edge with
 /// global CSR index j (graph::Digraph::edge_offset) is arc 2j.
 [[nodiscard]] FlowNetwork unit_capacity_network(const graph::Digraph& g);
-
-/// λ(u,v) for one ordered pair (u ≠ v; adjacency is fine — edges may be cut).
-/// Builds a fresh unit-capacity network per call — convenience only; batch
-/// callers should use the reuse overload below.
-[[nodiscard]] int pair_edge_connectivity(const graph::Digraph& g, int u, int v);
-
-/// λ(u,v) on a caller-supplied network (`net` must be
-/// `unit_capacity_network(g)`) and workspace. The workspace is reset on
-/// entry via its touched-arc undo log, so evaluating many pairs against one
-/// network costs O(arcs touched) between pairs, not a rebuild.
-[[nodiscard]] int pair_edge_connectivity(const graph::Digraph& g,
-                                         const FlowNetwork& net,
-                                         FlowWorkspace& workspace, int u, int v);
-
-/// Brute-force λ(u,v) by definition: the smallest set of edges whose removal
-/// cuts every path u→v (exponential in the cut size; test oracle for tiny
-/// graphs).
-[[nodiscard]] int pair_edge_connectivity_bruteforce(const graph::Digraph& g, int u,
-                                                    int v);
 
 }  // namespace kadsim::flow
 

@@ -4,7 +4,7 @@
 // A workspace owns exactly the state a solver mutates: the residual arcs
 // (capacity interleaved with the arc head, so the hot BFS/DFS loops touch
 // one cache line per arc probe) and the shared scratch buffers of the
-// Dinic / Edmonds–Karp / push-relabel kernels. Ownership rule: the attached
+// Dinic and push-relabel kernels. Ownership rule: the attached
 // FlowNetwork must outlive the workspace, many workspaces may attach to one
 // network concurrently, and a workspace must never be shared across threads.
 //
@@ -118,7 +118,6 @@ public:
                             level.capacity() * sizeof(int) +
                             iter.capacity() * sizeof(std::size_t) +
                             queue.capacity() * sizeof(int) +
-                            parent_arc.capacity() * sizeof(int) +
                             excess.capacity() * sizeof(long long) +
                             height.capacity() * sizeof(int) +
                             height_count.capacity() * sizeof(int) +
@@ -133,8 +132,7 @@ public:
     // thousands of pairs holds one arena, not one per algorithm instance.
     std::vector<int> level;               // Dinic: BFS levels
     std::vector<std::size_t> iter;        // Dinic / push-relabel: arc cursors
-    std::vector<int> queue;               // BFS queues (Dinic, EK, relabel)
-    std::vector<int> parent_arc;          // Edmonds–Karp: augmenting path
+    std::vector<int> queue;               // BFS queues (Dinic, relabel)
     std::vector<long long> excess;        // push-relabel
     std::vector<int> height;              // push-relabel
     std::vector<int> height_count;        // push-relabel: gap heuristic

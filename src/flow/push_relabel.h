@@ -7,7 +7,8 @@
 //   * the gap heuristic (a vanished height level disconnects every vertex
 //     above it from the sink).
 // Worst-case O(n²√m), matching the complexity the paper quotes for HIPR.
-// The value equals Dinic's/Edmonds–Karp's (max-flow is unique in value);
+// The value equals Dinic's (max-flow is unique in value; tests/test_maxflow.cpp
+// also checks both against the oracle in tests/edmonds_karp_oracle.h);
 // residual capacities after phase 1 are not a complete flow assignment, so
 // cut extraction uses Dinic (see mincut.h).
 //

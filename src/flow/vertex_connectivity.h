@@ -119,11 +119,6 @@ struct ConnectivityResult {
                                            const FlowNetwork& even_net,
                                            FlowWorkspace& workspace, int v, int w);
 
-/// Brute-force κ(v,w) by definition: the smallest set of other vertices whose
-/// removal cuts every path v→w (exponential; test oracle for tiny graphs).
-[[nodiscard]] int pair_vertex_connectivity_bruteforce(const graph::Digraph& g, int v,
-                                                      int w);
-
 }  // namespace kadsim::flow
 
 #endif  // KADSIM_FLOW_VERTEX_CONNECTIVITY_H

@@ -1,18 +1,24 @@
 // Allocation-free arena for in-flight iterative lookups (paper §4.1).
 //
-// PR 7's node arena removed per-node heap churn; the lookup path was still
-// one heap-allocated LookupState (plus a growable shortlist vector) per
-// lookup — the throughput wall for million-lookup workloads. LookupArena
-// stores every lookup struct-of-arrays instead: per-slot scalars (target,
-// in-flight window, no-progress streak, hop counter, issue timestamp) in
-// parallel vectors, and the k-closest shortlist as a sorted flat slice of a
-// shared fixed-stride slab. Slots are recycled through a free list, so after
+// "Given a target identifier, a node queries α nodes from its routing table
+// closest to that identifier. Those, in turn, answer with their own list of
+// closest nodes, which can then be used in new queries. ... This process ends
+// when a number of k nodes have been successfully contacted, or no more
+// progress is made in getting closer to the target identifier."
+//
+// The state machine is pure (no I/O): the owning node asks next_query() for
+// contacts to send FIND_NODE/FIND_VALUE to and feeds back on_response() /
+// on_failure(), which keeps the protocol logic unit-testable without a
+// simulator (tests/test_lookup_state.cpp drives one slot directly).
+//
+// A per-lookup heap object (plus a growable shortlist vector) is the
+// throughput wall for million-lookup workloads, so LookupArena stores every
+// lookup struct-of-arrays instead: per-slot scalars (target, in-flight
+// window, no-progress streak, hop counter, issue timestamp) in parallel
+// vectors, and the k-closest shortlist as a sorted flat slice of a shared
+// fixed-stride slab. Slots are recycled through a free list, so after
 // warmup the steady state allocates nothing (pinned by the arena-reuse
 // purity test in tests/test_lookup_engine.cpp).
-//
-// The state machine is the exact semantics of the original LookupState —
-// LookupState itself is now a one-slot façade over this class, and the
-// fault-equivalence golden hashes pin that the refactor changed no behavior.
 //
 // Each NodeArena (= one id-space region) owns one LookupArena shared by all
 // of its nodes; regions never share one, so sharded stepping needs no

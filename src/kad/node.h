@@ -20,7 +20,7 @@
 
 #include "kad/config.h"
 #include "kad/contact.h"
-#include "kad/lookup.h"
+#include "kad/lookup_arena.h"
 #include "kad/messages.h"
 #include "kad/routing_table.h"
 #include "net/network.h"
@@ -103,8 +103,7 @@ private:
 
     struct ActiveLookup {
         /// Slot in the owning NodeArena's shared LookupArena, or
-        /// kInvalidSlot when idle. The per-lookup heap allocation the old
-        /// unique_ptr<LookupState> field paid is gone.
+        /// kInvalidSlot when idle.
         std::uint32_t arena_slot = LookupArena::kInvalidSlot;
         LookupDoneFn on_done;
         std::uint32_t generation = 0;

@@ -251,20 +251,10 @@ void Daemon::process_job(Job job) {
     // Spool the canonical binary so evicted hot state can be rebuilt even
     // when the snapshot arrived over the socket (no source file).
     const std::string spool = spool_path(job.hash);
-    if (!spool.empty() && !std::filesystem::exists(spool)) {
-        if (util::ensure_directory(config_.cache_dir + "/snapshots")) {
-            const std::string tmp = spool + ".tmp." + std::to_string(::getpid());
-            std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-            if (out) {
-                job.snap->save_binary(out);
-                out.flush();
-                const bool ok = static_cast<bool>(out);
-                out.close();
-                std::error_code ec;
-                if (ok) std::filesystem::rename(tmp, spool, ec);
-                if (!ok || ec) std::remove(tmp.c_str());
-            }
-        }
+    if (!spool.empty() && !std::filesystem::exists(spool) &&
+        util::ensure_directory(config_.cache_dir + "/snapshots")) {
+        (void)publish_file(spool,
+                           [&](std::ostream& out) { job.snap->save_binary(out); });
     }
     hot_.put(job.hash, build_hot(std::move(job.snap)));
     {

@@ -34,6 +34,26 @@ bool parse_field(std::string_view& s, T& value, bool last = false) {
 
 }  // namespace
 
+bool publish_file(const std::string& path,
+                  const std::function<void(std::ostream&)>& write) {
+    const std::string tmp = path + ".tmp." + std::to_string(::getpid());
+    bool ok = false;
+    {
+        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+        if (!out) return false;
+        write(out);
+        out.flush();
+        ok = static_cast<bool>(out);
+    }
+    std::error_code ec;
+    if (ok) std::filesystem::rename(tmp, path, ec);
+    if (!ok || ec) {
+        std::remove(tmp.c_str());
+        return false;
+    }
+    return true;
+}
+
 std::string ResultCache::entry_path(const std::string& key) const {
     return root_ + "/" + util::to_hex(util::sha1(key)) + ".csv";
 }
@@ -58,30 +78,11 @@ bool ResultCache::load(const std::string& key, core::ExperimentSeries& out) cons
 bool ResultCache::store(const std::string& key,
                         const core::ExperimentSeries& series) const {
     if (!util::ensure_directory(root_)) return false;
-    const std::string path = entry_path(key);
-    // Atomic publish: write a sibling temp file (same directory, so the
-    // rename cannot cross filesystems), then rename over the final name.
-    const std::string tmp = path + ".tmp." + std::to_string(::getpid());
-    {
-        std::ofstream out(tmp, std::ios::trunc);
-        if (!out) return false;
+    return publish_file(entry_path(key), [&](std::ostream& out) {
         out << "# " << key << '\n';
         out << csv_header() << '\n';
         for (const auto& s : series.samples) out << format_sample_row(s) << '\n';
-        out.flush();
-        if (!out) {
-            out.close();
-            std::remove(tmp.c_str());
-            return false;
-        }
-    }
-    std::error_code ec;
-    std::filesystem::rename(tmp, path, ec);
-    if (ec) {
-        std::remove(tmp.c_str());
-        return false;
-    }
-    return true;
+    });
 }
 
 const char* ResultCache::csv_header() {

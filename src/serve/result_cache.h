@@ -18,6 +18,7 @@
 #ifndef KADSIM_SERVE_RESULT_CACHE_H
 #define KADSIM_SERVE_RESULT_CACHE_H
 
+#include <functional>
 #include <iosfwd>
 #include <string>
 #include <string_view>
@@ -25,6 +26,15 @@
 #include "core/experiment.h"
 
 namespace kadsim::serve {
+
+/// Atomically publishes the file at `path`: `write` streams the contents
+/// into a sibling temp file `<path>.tmp.<pid>` (same directory, so the
+/// rename cannot cross filesystems), which is flushed, checked and renamed
+/// over `path`. Returns false on any I/O failure, after removing the temp
+/// file: readers see the complete file or none of it. The parent directory
+/// must exist.
+bool publish_file(const std::string& path,
+                  const std::function<void(std::ostream&)>& write);
 
 class ResultCache {
 public:

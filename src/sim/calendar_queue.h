@@ -1,8 +1,8 @@
 // Bucketed calendar queue: the hot-path pending-event set of the simulator.
 //
-// The binary heap in event_queue.h pays O(log n) pointer-chasing sifts per
-// operation once hundreds of thousands of events are pending (n=100k+ overlay
-// scenarios). Almost all simulator traffic is near-future — RPC deliveries
+// A binary heap pays O(log n) pointer-chasing sifts per operation once
+// hundreds of thousands of events are pending (n=100k+ overlay scenarios).
+// Almost all simulator traffic is near-future — RPC deliveries
 // (10–100 ms), timeouts (2 s), per-minute scenario ticks — so a calendar
 // layout makes those O(1) amortized: time is divided into fixed-width epochs
 // and an epoch ring covers the near-future band; only far-future events
@@ -13,8 +13,9 @@
 // seq assigned at push. The structure never influences ordering — the epoch
 // being drained is a sorted run plus a tiny min-heap of late arrivals, pop
 // takes the smaller front, and every other tier holds strictly later epochs —
-// so replays are bit-identical to EventQueue (pinned by
-// tests/test_calendar_queue.cpp's differential suite).
+// so replays are bit-identical to a stable binary heap (pinned by
+// tests/test_calendar_queue.cpp's differential suite against the heap oracle
+// in tests/event_queue_oracle.h).
 #ifndef KADSIM_SIM_CALENDAR_QUEUE_H
 #define KADSIM_SIM_CALENDAR_QUEUE_H
 
@@ -23,11 +24,16 @@
 #include <utility>
 #include <vector>
 
-#include "sim/event_queue.h"
 #include "sim/time.h"
 #include "util/assert.h"
+#include "util/inplace_function.h"
 
 namespace kadsim::sim {
+
+/// Event payload: a small move-only callable. 128 bytes of inline capture is
+/// enough for every handler in the code base, including RPC delivery closures
+/// carrying a contact-list vector (compile-time enforced).
+using EventFn = util::InplaceFunction<void(), 128>;
 
 class CalendarQueue {
 public:
@@ -120,8 +126,8 @@ public:
     }
 
 private:
-    /// 16-byte handle; the (large) callables stay put in the slot pool, as in
-    /// EventQueue.
+    /// 16-byte handle; the (large) callables stay put in the slot pool, so
+    /// sifts and epoch sorts move handles, not closures.
     struct Handle {
         SimTime time;
         std::uint64_t seq;

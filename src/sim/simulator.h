@@ -3,9 +3,9 @@
 // Single-threaded by design: protocols run as callbacks on a virtual clock;
 // determinism comes from the stable event queue plus per-component RNG
 // streams handed out by split_rng(). The pending set is the calendar queue
-// (O(1) amortized near-future band); its pop order is bit-identical to the
-// reference binary heap in event_queue.h, so switching cost the replay
-// goldens nothing.
+// (O(1) amortized near-future band); its pop order is bit-identical to a
+// stable binary heap (tests/event_queue_oracle.h), so switching cost the
+// replay goldens nothing.
 #ifndef KADSIM_SIM_SIMULATOR_H
 #define KADSIM_SIM_SIMULATOR_H
 

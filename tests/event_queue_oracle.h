@@ -1,44 +1,42 @@
-// Pending-event set for the discrete-event engine.
+// Reference pending-event set: a stable binary heap, the oracle for
+// sim::CalendarQueue.
 //
 // Semantics mirror PeerSim's event-driven mode: events execute in
 // non-decreasing timestamp order; ties break by insertion order (stable), so
-// runs are bit-reproducible regardless of heap internals.
-#ifndef KADSIM_SIM_EVENT_QUEUE_H
-#define KADSIM_SIM_EVENT_QUEUE_H
+// runs are bit-reproducible regardless of heap internals. The simulator
+// runs on the calendar queue; tests/test_calendar_queue.cpp drives both
+// through identical schedules and asserts their pop streams match.
+#ifndef KADSIM_TESTS_EVENT_QUEUE_ORACLE_H
+#define KADSIM_TESTS_EVENT_QUEUE_ORACLE_H
 
 #include <cstdint>
 #include <utility>
 #include <vector>
 
+#include "sim/calendar_queue.h"
 #include "sim/time.h"
 #include "util/assert.h"
-#include "util/inplace_function.h"
 
-namespace kadsim::sim {
-
-/// Event payload: a small move-only callable. 128 bytes of inline capture is
-/// enough for every handler in the code base, including RPC delivery closures
-/// carrying a contact-list vector (compile-time enforced).
-using EventFn = util::InplaceFunction<void(), 128>;
+namespace kadsim::test_support {
 
 class EventQueue {
 public:
     struct Entry {
-        SimTime time = 0;
+        sim::SimTime time = 0;
         std::uint64_t seq = 0;
-        EventFn fn;
+        sim::EventFn fn;
     };
 
     [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
     [[nodiscard]] std::size_t size() const noexcept { return heap_.size(); }
 
     /// Earliest pending timestamp; queue must be non-empty.
-    [[nodiscard]] SimTime next_time() const noexcept {
+    [[nodiscard]] sim::SimTime next_time() const noexcept {
         KADSIM_ASSERT(!heap_.empty());
         return heap_.front().time;
     }
 
-    void push(SimTime time, EventFn fn) {
+    void push(sim::SimTime time, sim::EventFn fn) {
         std::uint32_t slot;
         if (!free_slots_.empty()) {
             slot = free_slots_.back();
@@ -68,21 +66,14 @@ public:
         return entry;
     }
 
-    void clear() noexcept {
-        heap_.clear();
-        pool_.clear();
-        free_slots_.clear();
-    }
-
     /// Total events ever pushed (also the next sequence number).
     [[nodiscard]] std::uint64_t pushed() const noexcept { return next_seq_; }
 
 private:
     /// The heap orders lightweight 16-byte handles; the (large) callables
-    /// stay put in a slot pool. Sift operations therefore move handles, not
-    /// 100+-byte closures (Per.14/Per.19: cheap moves on the hot path).
+    /// stay put in a slot pool, so sifts move handles, not closures.
     struct Handle {
-        SimTime time;
+        sim::SimTime time;
         std::uint64_t seq;
         std::uint32_t slot;
     };
@@ -126,11 +117,11 @@ private:
     }
 
     std::vector<Handle> heap_;
-    std::vector<EventFn> pool_;
+    std::vector<sim::EventFn> pool_;
     std::vector<std::uint32_t> free_slots_;
     std::uint64_t next_seq_ = 0;
 };
 
-}  // namespace kadsim::sim
+}  // namespace kadsim::test_support
 
-#endif  // KADSIM_SIM_EVENT_QUEUE_H
+#endif  // KADSIM_TESTS_EVENT_QUEUE_ORACLE_H

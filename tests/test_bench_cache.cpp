@@ -1,5 +1,5 @@
-// bench::parse_sample_row — the cache-CSV row parser behind the bench
-// harness's series cache (bench/common.cpp load_cached).
+// ResultCache::parse_sample_row — the cache-CSV row parser behind
+// the bench harness's series cache (bench/common.cpp try_load_cached).
 //
 // The original implementation built a std::istringstream per row, which made
 // probing a large cached series allocation-bound: one stream (plus its
@@ -17,8 +17,8 @@
 #include <string>
 #include <vector>
 
-#include "bench/common.h"
 #include "core/analyzer.h"
+#include "serve/result_cache.h"
 
 namespace {
 
@@ -48,6 +48,8 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace kadsim {
 namespace {
+
+using serve::ResultCache;
 
 /// One cache-CSV data row in exactly the bytes store_cached writes
 /// (bench/common.cpp) — the format parse_sample_row must accept.
@@ -105,7 +107,7 @@ core::ResilienceSample sample_for(int i) {
 TEST(BenchCache, ParseRoundTripsStoreFormat) {
     const core::ResilienceSample expected = sample_for(13);
     core::ResilienceSample parsed;
-    ASSERT_TRUE(bench::parse_sample_row(row_for(expected), parsed));
+    ASSERT_TRUE(ResultCache::parse_sample_row(row_for(expected), parsed));
     EXPECT_EQ(parsed.time_min, expected.time_min);
     EXPECT_EQ(parsed.n, expected.n);
     EXPECT_EQ(parsed.m, expected.m);
@@ -139,23 +141,21 @@ TEST(BenchCache, ParseRoundTripsStoreFormat) {
 TEST(BenchCache, RejectsMalformedRows) {
     core::ResilienceSample s;
     // Pre-metric-suite row: the eight original columns only.
-    EXPECT_FALSE(bench::parse_sample_row("0.5,60,700,3,9.5,1,0.98,1194", s));
+    EXPECT_FALSE(ResultCache::parse_sample_row("0.5,60,700,3,9.5,1,0.98,1194", s));
     // Pre-lookup-engine row: all 18 metric columns but no lookup columns —
     // older caches miss cleanly and re-simulate.
-    EXPECT_FALSE(bench::parse_sample_row(
+    EXPECT_FALSE(ResultCache::parse_sample_row(
         "0.5,60,700,3,9.5,1,0.98,1194,0,4,21.5,0.99,1,0,0,5,6,2", s));
-    EXPECT_FALSE(bench::parse_sample_row("", s));
-    EXPECT_FALSE(bench::parse_sample_row("garbage", s));
+    EXPECT_FALSE(ResultCache::parse_sample_row("", s));
+    EXPECT_FALSE(ResultCache::parse_sample_row("garbage", s));
     // Trailing junk after the final column.
-    EXPECT_FALSE(bench::parse_sample_row(row_for(sample_for(0)) + ",9", s));
-    EXPECT_FALSE(bench::parse_sample_row(row_for(sample_for(0)) + "x", s));
+    EXPECT_FALSE(ResultCache::parse_sample_row(row_for(sample_for(0)) + ",9", s));
+    EXPECT_FALSE(ResultCache::parse_sample_row(row_for(sample_for(0)) + "x", s));
     // A non-numeric field mid-row.
-    EXPECT_FALSE(
-        bench::parse_sample_row("0.5,60,abc,3,9.5,1,0.98,1194,0,4,21.5,0.99,"
-                                "1,0,0,5,6,2",
-                                s));
+    EXPECT_FALSE(ResultCache::parse_sample_row(
+        "0.5,60,abc,3,9.5,1,0.98,1194,0,4,21.5,0.99,1,0,0,5,6,2", s));
     // A well-formed row still parses after all the rejects.
-    EXPECT_TRUE(bench::parse_sample_row(row_for(sample_for(1)), s));
+    EXPECT_TRUE(ResultCache::parse_sample_row(row_for(sample_for(1)), s));
 }
 
 TEST(BenchCache, TwentyThousandRowProbeStaysUnderAllocationBudget) {
@@ -172,7 +172,7 @@ TEST(BenchCache, TwentyThousandRowProbeStaysUnderAllocationBudget) {
     const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
     for (const auto& row : rows) {
         core::ResilienceSample s;
-        ASSERT_TRUE(bench::parse_sample_row(row, s));
+        ASSERT_TRUE(ResultCache::parse_sample_row(row, s));
         checksum += static_cast<std::uint64_t>(s.kappa_min) + s.pairs_evaluated;
     }
     const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);

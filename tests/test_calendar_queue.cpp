@@ -1,15 +1,16 @@
-// CalendarQueue vs the reference binary-heap EventQueue: the calendar layout
-// must never influence ordering. The differential suite drives both through
-// identical randomized push/pop schedules (ties included) and asserts the
-// pop streams match element-for-element — the property that makes swapping
-// the simulator's queue invisible to the byte-identity replay goldens.
+// CalendarQueue vs the reference binary-heap EventQueue (the oracle in
+// event_queue_oracle.h): the calendar layout must never influence ordering.
+// The differential suite drives both through identical randomized push/pop
+// schedules (ties included) and asserts the pop streams match
+// element-for-element — the property that makes swapping the simulator's
+// queue invisible to the byte-identity replay goldens.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <vector>
 
+#include "event_queue_oracle.h"
 #include "sim/calendar_queue.h"
-#include "sim/event_queue.h"
 #include "util/rng.h"
 
 namespace kadsim::sim {
@@ -50,7 +51,7 @@ public:
     }
 
 private:
-    EventQueue reference_;
+    test_support::EventQueue reference_;
     CalendarQueue calendar_;
     std::uint64_t next_tag_ = 0;
     std::vector<std::uint64_t> reference_log_;

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "connectivity_oracles.h"
 #include "exec/thread_pool.h"
 #include "flow/edge_connectivity.h"
 #include "flow/even_transform.h"
@@ -131,8 +132,8 @@ TEST(Certificate, PreservesKappaAndLambdaBelowOrder) {
                                                in_g[static_cast<std::size_t>(v)]);
                     if (bound >= k) continue;
                     EXPECT_EQ(
-                        flow::pair_edge_connectivity(h, unit_h, ws_unit_h, u, v),
-                        flow::pair_edge_connectivity(g, unit_g, ws_unit_g, u, v))
+                        test_support::pair_edge_connectivity(h, unit_h, ws_unit_h, u, v),
+                        test_support::pair_edge_connectivity(g, unit_g, ws_unit_g, u, v))
                         << "lambda seed " << seed << " k " << k << " pair (" << u
                         << "," << v << ")";
                     // κ is defined for non-adjacent pairs; the certificate is

@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "connectivity_oracles.h"
 #include "exec/thread_pool.h"
 #include "flow/edge_connectivity.h"
 #include "graph/digraph.h"
@@ -21,6 +22,8 @@ namespace kadsim::flow {
 namespace {
 
 using test_support::kademlia_like_graph;
+using test_support::pair_edge_connectivity;
+using test_support::pair_edge_connectivity_bruteforce;
 using test_support::TableReuseHook;
 
 // 100 seeded graphs: every ordered pair must agree between the kernel's
@@ -52,9 +55,9 @@ TEST(EdgeConnectivityDifferential, SampledKernelVsBruteforceMinCutOracle) {
     }
 }
 
-// The per-pair solver path (no seeding, uncapped Dinic on a reused
-// workspace) must agree with the oracle too — it is what the purity test
-// and external callers use.
+// The per-pair oracle (no seeding, uncapped Dinic on a reused workspace)
+// must agree with the brute force too — the purity test below and the
+// certificate and invariant tests lean on it.
 TEST(EdgeConnectivityDifferential, PairSolverVsBruteforce) {
     for (std::uint64_t seed = 1; seed <= 25; ++seed) {
         const int n = 6 + static_cast<int>(seed % 4);

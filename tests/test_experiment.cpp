@@ -43,7 +43,7 @@ TEST(Experiment, StabilizedSmallNetworkIsConnected) {
 TEST(Experiment, ProgressCallbackSeesEverySample) {
     int calls = 0;
     const auto series = run_experiment(tiny_experiment(),
-                                       [&calls](const ConnectivitySample&) { ++calls; });
+                                       [&calls](const ResilienceSample&) { ++calls; });
     EXPECT_EQ(calls, static_cast<int>(series.samples.size()));
 }
 

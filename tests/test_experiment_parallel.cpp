@@ -89,7 +89,7 @@ TEST(ExperimentParallel, PipelinedProgressIsInSnapshotOrder) {
     std::vector<double> times;
     const auto series = run_experiment(
         tiny_experiment(13, 4),
-        [&times](const ConnectivitySample& s) { times.push_back(s.time_min); });
+        [&times](const ResilienceSample& s) { times.push_back(s.time_min); });
     ASSERT_EQ(times.size(), series.samples.size());
     for (std::size_t i = 0; i < times.size(); ++i) {
         EXPECT_DOUBLE_EQ(times[i], series.samples[i].time_min);
@@ -143,7 +143,7 @@ TEST(ExperimentParallel, BatchProgressSeesEverySampleOfEveryConfig) {
     std::atomic<int> bad_index{0};
     const auto results = run_experiment_batch(
         configs, &pool,
-        [&](std::size_t index, const ConnectivitySample&) {
+        [&](std::size_t index, const ResilienceSample&) {
             if (index >= 2) ++bad_index;
             ++calls;
         });
@@ -178,7 +178,7 @@ TEST(ExperimentParallel, ProgressExceptionPropagatesInsteadOfHanging) {
     EXPECT_THROW(
         {
             const auto series = run_experiment(
-                tiny_experiment(61, 2), [](const ConnectivitySample&) {
+                tiny_experiment(61, 2), [](const ResilienceSample&) {
                     throw std::runtime_error("progress failed");
                 });
             (void)series;

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "connectivity_oracles.h"
 #include "flow/dinic.h"
 #include "flow/even_transform.h"
 #include "flow/flow_workspace.h"
@@ -75,7 +76,7 @@ TEST(FlowWorkspaceDifferential, TouchedArcDinicVsExactPushRelabelVsBruteforce) {
                 << "seed " << seed << " pair (" << u << "," << v << ")";
 
             if (i % 7 == 0) {  // oracle on a deterministic subset (it is slow)
-                EXPECT_EQ(exact, pair_vertex_connectivity_bruteforce(g, u, v))
+                EXPECT_EQ(exact, test_support::pair_vertex_connectivity_bruteforce(g, u, v))
                     << "seed " << seed << " pair (" << u << "," << v << ")";
             }
         }

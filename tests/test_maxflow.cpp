@@ -2,8 +2,8 @@
 // cross-solver equality property (push-relabel ≡ Dinic ≡ Edmonds–Karp).
 #include <gtest/gtest.h>
 
+#include "edmonds_karp_oracle.h"
 #include "flow/dinic.h"
-#include "flow/edmonds_karp.h"
 #include "flow/flow_network.h"
 #include "flow/flow_workspace.h"
 #include "flow/push_relabel.h"
@@ -34,7 +34,7 @@ TEST(Dinic, DiamondValue) {
 TEST(EdmondsKarp, DiamondValue) {
     const FlowNetwork net = diamond();
     FlowWorkspace ws(net);
-    EdmondsKarp solver;
+    test_support::EdmondsKarp solver;
     EXPECT_EQ(solver.max_flow(ws, 0, 3), 5);
 }
 
@@ -69,7 +69,7 @@ TEST(EdmondsKarp, FlowLimitStopsEarly) {
     net.add_arc(0, 1, 100);
     net.finalize();
     FlowWorkspace ws(net);
-    EdmondsKarp solver;
+    test_support::EdmondsKarp solver;
     EXPECT_EQ(solver.max_flow(ws, 0, 1, 7), 7);
 }
 
@@ -200,7 +200,7 @@ TEST_P(CrossSolverTest, AllSolversAgreeOnRandomGraphs) {
     const FlowNetwork base = random_network(rng, n, p, 5);
 
     Dinic dinic;
-    EdmondsKarp ek;
+    test_support::EdmondsKarp ek;
     PushRelabel pr;
     // One workspace per solver, shared across trials: exercises the
     // touched-arc reset path the connectivity sweep depends on.

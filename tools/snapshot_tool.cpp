@@ -116,9 +116,16 @@ int cmd_convert(const util::CliArgs& args) {
 }
 
 int cmd_analyze(const util::CliArgs& args) {
+    // Negated so NaN fails too.
+    const double c = args.get_double("c", 0.02);
+    if (!(c > 0.0 && c <= 1.0)) {
+        std::fprintf(stderr, "error: --c must be a finite fraction in (0, 1], got %s\n",
+                     args.get(std::string("c"), "").c_str());
+        return 2;
+    }
     const auto snap = load_snapshot(args.get(std::string("in"), "snapshot.txt"));
     core::AnalyzerOptions options;
-    options.sample_c = args.has("exact") ? 1.0 : args.get_double("c", 0.02);
+    options.sample_c = args.has("exact") ? 1.0 : c;
     exec::ThreadPool pool(util::repro_threads());
     const auto sample = core::ConnectivityAnalyzer(options).analyze(snap, &pool);
 
@@ -216,7 +223,7 @@ void print_usage(const char* program) {
         "usage: %s <dump|analyze|cut|dimacs|convert> [--key value ...]\n"
         "\n"
         "  dump    --nodes N --minutes M --out FILE [--binary]\n"
-        "  analyze --in FILE [--exact] [--c FRAC] [--attackers N]\n"
+        "  analyze --in FILE [--exact] [--c FRAC] [--attackers N]   (0 < FRAC <= 1)\n"
         "  cut     --in FILE [--from U --to V]\n"
         "  dimacs  --in FILE [--from U --to V] --out FILE\n"
         "  convert --in FILE --out FILE (--to-binary | --to-text)\n"

@@ -38,6 +38,20 @@ expect_err() {
     fi
 }
 
+# expect_flag_err <label> <args...>: an out-of-range flag must exit exactly 2
+# with exactly one "error:" line on stderr.
+expect_flag_err() {
+    local label="$1"
+    shift
+    local status=0
+    "$TOOL" "$@" >"$WORK/out" 2>"$WORK/err" || status=$?
+    if [ "$status" -ne 2 ]; then
+        fail "$label: expected exit 2, got $status (stderr: $(cat "$WORK/err"))"
+    elif [ "$(wc -l <"$WORK/err")" -ne 1 ] || ! grep -q "^error: " "$WORK/err"; then
+        fail "$label: expected one 'error:' line (got: $(cat "$WORK/err"))"
+    fi
+}
+
 # --- success paths: dump -> analyze -> convert round trip -------------------
 expect_ok "dump text" dump --nodes 24 --minutes 30 --out "$WORK/snap.txt"
 expect_ok "dump binary" dump --nodes 24 --minutes 30 --binary --out "$WORK/snap.bin"
@@ -45,6 +59,7 @@ expect_ok "analyze text" analyze --in "$WORK/snap.txt" --c 0.2
 expect_ok "convert to binary" convert --in "$WORK/snap.txt" --to-binary --out "$WORK/rt.bin"
 expect_ok "convert back to text" convert --in "$WORK/rt.bin" --to-text --out "$WORK/rt.txt"
 expect_ok "analyze round-tripped" analyze --in "$WORK/rt.txt" --c 0.2
+expect_ok "analyze at c = 1" analyze --in "$WORK/snap.txt" --c 1
 if ! cmp -s "$WORK/snap.txt" "$WORK/rt.txt"; then
     fail "text -> binary -> text round trip changed the file"
 fi
@@ -66,6 +81,9 @@ expect_err "convert with both directions" \
 expect_err "dimacs bad endpoints" dimacs --in "$WORK/snap.txt" --from 5 --to 5
 expect_err "dimacs out-of-range endpoint" \
     dimacs --in "$WORK/snap.txt" --from 0 --to 100000
+for c in nan -inf inf 0 -1 1.5; do
+    expect_flag_err "analyze --c $c" analyze --in "$WORK/snap.txt" --c "$c"
+done
 expect_err "unknown command" frobnicate --in "$WORK/snap.txt"
 expect_err "no command"
 
