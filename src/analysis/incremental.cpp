@@ -19,12 +19,14 @@ std::uint64_t edge_key(int tail, int head) {
            static_cast<std::uint32_t>(head);
 }
 
-/// Per-thread revalidation scratch: epoch-stamped visited/blocked sets (no
-/// O(n) clear per lookup) and the current entry's cut as a sorted edge-key
-/// vector. Thread-local because lookups race from every flow worker.
+/// Per-thread revalidation scratch: epoch-stamped visited/blocked/out(u)
+/// sets (no O(n) clear per lookup) and the current entry's cut as a sorted
+/// edge-key vector. Thread-local because lookups race from every flow
+/// worker.
 struct LookupScratch {
     std::vector<std::uint64_t> visit_stamp;
     std::vector<std::uint64_t> block_stamp;
+    std::vector<std::uint64_t> out_stamp;
     std::vector<int> queue;
     std::vector<std::uint64_t> cut_edges;
     std::uint64_t epoch = 0;
@@ -43,35 +45,23 @@ int PairCache::lookup(int u, int v) {
     const Entry& entry = it->second;
     const graph::Digraph& g = *graph;
     const auto& to_id = *addr_to_id;
-    // Half one — value ≥ f: every witness path must exist edge-for-edge in
-    // the current graph. Interior vertices are stored as overlay addresses:
-    // a departed node fails the address map, an evicted routing-table entry
-    // fails has_edge. Path vertex sets are unchanged, so the paths are still
-    // pairwise disjoint.
-    for (std::size_t p = 0; p + 1 < entry.offsets.size(); ++p) {
-        int prev = u;
-        for (auto i = static_cast<std::size_t>(entry.offsets[p]);
-             i < static_cast<std::size_t>(entry.offsets[p + 1]); ++i) {
-            const std::uint32_t a = entry.nodes[i];
-            if (a >= to_id.size() || to_id[a] < 0) return -1;
-            const int w = to_id[a];
-            if (!g.has_edge(prev, w)) return -1;
-            prev = w;
-        }
-        if (!g.has_edge(prev, v)) return -1;
-    }
-    // Half two — value ≤ f: the stored cut must still separate u from v,
-    // checked by BFS from u avoiding it. Departed cut members are skipped:
-    // if fewer than f survive, the f intact disjoint paths cannot all be
-    // blocked, the search reaches v, and the entry is refused — so an
-    // accepted entry always has a full-strength cut behind it.
     const int n = g.vertex_count();
     LookupScratch& s = tls_scratch;
     if (s.visit_stamp.size() < static_cast<std::size_t>(n)) {
         s.visit_stamp.resize(static_cast<std::size_t>(n), 0);
         s.block_stamp.resize(static_cast<std::size_t>(n), 0);
+        s.out_stamp.resize(static_cast<std::size_t>(n), 0);
     }
     const std::uint64_t epoch = ++s.epoch;
+    // A hit needs both halves, so the order changes nothing a lookup
+    // returns. The cut goes first: an entry whose cut no longer separates
+    // is refused without walking its paths.
+    //
+    // Half one — value ≤ f: the stored cut must still separate u from v,
+    // checked by BFS from u avoiding it. Departed cut members are skipped.
+    // An entry that passes both halves still has a full-strength cut: its
+    // f disjoint paths are intact (half two), and fewer than f surviving
+    // members could not block them all, so the search would have reached v.
     if (edge_cut) {
         s.cut_edges.clear();
         KADSIM_ASSERT(entry.cut.size() % 2 == 0);
@@ -113,6 +103,29 @@ int PairCache::lookup(int u, int v) {
             s.visit_stamp[ys] = epoch;
             s.queue.push_back(y);
         }
+    }
+    // Half two — value ≥ f: every witness path must exist edge-for-edge in
+    // the current graph. Interior vertices are stored as overlay addresses:
+    // a departed node fails the address map, an evicted routing-table entry
+    // fails the edge test. Path vertex sets are unchanged, so the paths are
+    // still pairwise disjoint. Edges leaving u — every path's first edge —
+    // are tested against a stamp of out(u) instead of a binary search.
+    for (const int w : g.out(u)) s.out_stamp[static_cast<std::size_t>(w)] = epoch;
+    const auto has_edge = [&](int x, int y) {
+        return x == u ? s.out_stamp[static_cast<std::size_t>(y)] == epoch
+                      : g.has_edge(x, y);
+    };
+    for (std::size_t p = 0; p + 1 < entry.offsets.size(); ++p) {
+        int prev = u;
+        for (auto i = static_cast<std::size_t>(entry.offsets[p]);
+             i < static_cast<std::size_t>(entry.offsets[p + 1]); ++i) {
+            const std::uint32_t a = entry.nodes[i];
+            if (a >= to_id.size() || to_id[a] < 0) return -1;
+            const int w = to_id[a];
+            if (!has_edge(prev, w)) return -1;
+            prev = w;
+        }
+        if (!has_edge(prev, v)) return -1;
     }
     hits.fetch_add(1, std::memory_order_relaxed);
     return entry.value;

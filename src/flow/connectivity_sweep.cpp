@@ -145,12 +145,13 @@ private:
     std::vector<int> in_v_stamp_;
     std::vector<int> used_stamp_;
     // Witness scratch, allocated only when a reuse hook is attached:
-    // path-decomposition buffers plus the residual-BFS state of the
-    // sub-bound min-cut extraction (network-node reach set, per-vertex cut
-    // dedupe, the cut itself).
+    // path-decomposition buffers (the per-network-node scratch holds κ's
+    // next flow arcs or λ's on-path marks) plus the residual-BFS state of
+    // the sub-bound min-cut extraction (network-node reach set, per-vertex
+    // cut dedupe, the cut itself).
     std::vector<int> witness_;
     std::vector<int> offsets_;
-    std::vector<int> on_path_;
+    std::vector<int> path_scratch_;
     std::vector<int> reach_stamp_;
     std::vector<int> reach_list_;
     std::vector<int> cut_stamp_;
@@ -169,7 +170,7 @@ Lane::Lane(const Sweep& sweep) : sweep_(sweep), ws_(sweep.net) {
     }
     in_v_stamp_.assign(n, 0);
     if (sweep.reuse != nullptr) {
-        on_path_.assign(nodes, 0);
+        path_scratch_.assign(nodes, 0);
         reach_stamp_.assign(nodes, 0);
         cut_stamp_.assign(n, 0);
     }
@@ -265,7 +266,9 @@ bool Lane::reach_residual(const FlowWorkspace& ws, int start) {
 /// scanning neighbour rows. The greedy packing need not be maximum: any
 /// valid integral flow is a legal warm start, and Dinic's residual phases
 /// correct it. When seeding alone reaches the bound the pair finishes
-/// without a single BFS; otherwise Dinic tops up from the seeded residual.
+/// without a single BFS; otherwise Dinic's bidirectional phases
+/// (flow/dinic.h) top up from the seeded residual, each BFS meeting between
+/// u″ and v′ instead of labelling most of the network from u″.
 ///
 /// Delta reuse (pair_reuse.h): when a hook is present, every pair is first
 /// offered to it — a valid stored witness settles the pair with no graph or
@@ -384,25 +387,24 @@ int Lane::kappa_pair(const Source& s, int v, int bound) {
         if (reuse != nullptr && bound == s.out_degree) {
             // The workspace holds the full seeded + Dinic flow of value
             // κ = bound; decompose it into the disjoint-path witness. The
-            // walk consumes only already-logged arcs, so the counters and
-            // the next reset are untouched. The cut is u's out-row (see the
-            // no-flow settle above).
+            // walk reads the flow through the undo log without changing
+            // it, so the counters and the next reset are untouched. The
+            // cut is u's out-row (see the no-flow settle above).
             witness_.clear();
             offsets_.assign(1, 0);
             decompose_even_flow(ws_, n, out_vertex(u), in_vertex(v), kappa,
-                                on_path_, witness_, offsets_);
+                                path_scratch_, witness_, offsets_);
             reuse->store(u, v, kappa, witness_, offsets_, sweep_.gsel.out(u));
         }
     } else if (reuse != nullptr && reach_residual(ws_, out_vertex(u))) {
         // κ ended below the cap, so Dinic ran out of augmenting paths and
         // the workspace holds a *maximum* flow: the residual-reachable side
-        // of the Even network yields a minimum vertex cut. It is walked
-        // before decomposing the paths (the decomposition consumes the
-        // flow). Crossing forward arcs map to vertices: an internal arc 2w
-        // names w; an edge arc x″→y′ names y (on every path through that
-        // edge), or its tail x when y is the sink. Injective — two crossing
-        // arcs never name one vertex — so the cut has exactly κ members;
-        // the defensive size check below costs nothing.
+        // of the Even network yields a minimum vertex cut. Crossing forward
+        // arcs map to vertices: an internal arc 2w names w; an edge arc
+        // x″→y′ names y (on every path through that edge), or its tail x
+        // when y is the sink. Injective — two crossing arcs never name one
+        // vertex — so the cut has exactly κ members; the defensive size
+        // check below costs nothing.
         const FlowNetwork& net = sweep_.net;
         cut_scratch_.clear();
         for (const int z : reach_list_) {
@@ -422,7 +424,7 @@ int Lane::kappa_pair(const Source& s, int v, int bound) {
             witness_.clear();
             offsets_.assign(1, 0);
             decompose_even_flow(ws_, n, out_vertex(u), in_vertex(v), kappa,
-                                on_path_, witness_, offsets_);
+                                path_scratch_, witness_, offsets_);
             reuse->store(u, v, kappa, witness_, offsets_, cut_scratch_);
         }
     }
@@ -437,8 +439,9 @@ int Lane::kappa_pair(const Source& s, int v, int bound) {
 /// w ∈ out(u) ∩ in(v) are pairwise edge-disjoint — distinct first edges out
 /// of u and distinct second edges into v. If they alone meet the bound the
 /// pair settles with no flow run at all; otherwise they are saturated
-/// directly into the workspace and Dinic tops up from the seeded residual
-/// (a feasible integral flow is a legal warm start).
+/// directly into the workspace and Dinic's bidirectional phases top up
+/// from the seeded residual (a feasible integral flow is a legal warm
+/// start).
 ///
 /// Settled pairs are stored back with a two-sided witness: λ edge-disjoint
 /// paths (the direct edge and two-hop candidates of the no-flow settle, or
@@ -514,7 +517,7 @@ int Lane::lambda_pair(const Source& s, int v, int bound) {
         if (reuse != nullptr && bound == s.out_degree) {
             witness_.clear();
             offsets_.assign(1, 0);
-            decompose_unit_flow(ws_, u, v, lambda, on_path_, witness_, offsets_);
+            decompose_unit_flow(ws_, u, v, lambda, path_scratch_, witness_, offsets_);
             store_lambda_out_row(u, v, lambda);
         }
     } else if (reuse != nullptr && reach_residual(ws_, u)) {
@@ -536,7 +539,7 @@ int Lane::lambda_pair(const Source& s, int v, int bound) {
         if (static_cast<int>(cut_scratch_.size()) == 2 * lambda) {
             witness_.clear();
             offsets_.assign(1, 0);
-            decompose_unit_flow(ws_, u, v, lambda, on_path_, witness_, offsets_);
+            decompose_unit_flow(ws_, u, v, lambda, path_scratch_, witness_, offsets_);
             reuse->store(u, v, lambda, witness_, offsets_, cut_scratch_);
         }
     }

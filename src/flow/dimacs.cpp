@@ -38,6 +38,9 @@ DimacsProblem read_dimacs(std::istream& in) {
             case 'c':
                 break;
             case 'p': {
+                if (have_problem_line) {
+                    throw std::runtime_error("dimacs: second problem line: " + line);
+                }
                 std::string kind;
                 int nodes = 0;
                 ls >> kind >> nodes >> declared_arcs;
@@ -49,10 +52,15 @@ DimacsProblem read_dimacs(std::istream& in) {
                 break;
             }
             case 'n': {
+                if (!have_problem_line) {
+                    throw std::runtime_error("dimacs: node line before problem line: " +
+                                             line);
+                }
                 int id = 0;
                 char which = 0;
                 ls >> id >> which;
-                if (!ls || id < 1) {
+                // The solvers index their per-vertex scratch by these ids.
+                if (!ls || id < 1 || id > problem.network.vertex_count()) {
                     throw std::runtime_error("dimacs: bad node line: " + line);
                 }
                 if (which == 's') {
@@ -63,6 +71,9 @@ DimacsProblem read_dimacs(std::istream& in) {
                     have_sink = true;
                 } else {
                     throw std::runtime_error("dimacs: bad node designator: " + line);
+                }
+                if (have_source && have_sink && problem.source == problem.sink) {
+                    throw std::runtime_error("dimacs: source equals sink: " + line);
                 }
                 break;
             }

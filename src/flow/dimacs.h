@@ -29,7 +29,9 @@ struct DimacsProblem {
 void write_dimacs(const FlowNetwork& net, int source, int sink, std::ostream& out);
 
 /// Parses a DIMACS max-flow problem into a finalized (ready-to-solve)
-/// network; throws std::runtime_error on malformed input.
+/// network; throws std::runtime_error naming the offending line on
+/// malformed input — including a node line before the problem line, node
+/// ids outside 1..nodes, source = sink, and a second problem line.
 [[nodiscard]] DimacsProblem read_dimacs(std::istream& in);
 
 }  // namespace kadsim::flow

@@ -18,6 +18,7 @@
 #define KADSIM_FLOW_FLOW_WORKSPACE_H
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "flow/flow_network.h"
@@ -107,6 +108,11 @@ public:
         touched_.clear();
     }
 
+    /// The undo log: every arc whose capacity may differ from as-built
+    /// since the last reset(), in first-touch order. Every arc carrying
+    /// flow is in it.
+    [[nodiscard]] std::span<const int> touched() const noexcept { return touched_; }
+
     [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
     /// Bytes held by the residual arcs, undo log and scratch buffers (arena
@@ -116,8 +122,10 @@ public:
                             in_log_.capacity() * sizeof(char) +
                             touched_.capacity() * sizeof(int) +
                             level.capacity() * sizeof(int) +
+                            level_t.capacity() * sizeof(int) +
                             iter.capacity() * sizeof(std::size_t) +
                             queue.capacity() * sizeof(int) +
+                            queue_t.capacity() * sizeof(int) +
                             excess.capacity() * sizeof(long long) +
                             height.capacity() * sizeof(int) +
                             height_count.capacity() * sizeof(int) +
@@ -130,9 +138,11 @@ public:
     // unspecified between max_flow calls; each kernel (re)initializes what it
     // uses. Shared here rather than per-solver so a worker evaluating
     // thousands of pairs holds one arena, not one per algorithm instance.
-    std::vector<int> level;               // Dinic: BFS levels
+    std::vector<int> level;               // Dinic: forward BFS levels (from s)
+    std::vector<int> level_t;             // Dinic: backward BFS levels (to t)
     std::vector<std::size_t> iter;        // Dinic / push-relabel: arc cursors
-    std::vector<int> queue;               // BFS queues (Dinic, relabel)
+    std::vector<int> queue;               // BFS queues (Dinic forward, relabel)
+    std::vector<int> queue_t;             // Dinic: backward BFS queue
     std::vector<long long> excess;        // push-relabel
     std::vector<int> height;              // push-relabel
     std::vector<int> height_count;        // push-relabel: gap heuristic

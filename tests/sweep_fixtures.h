@@ -1,5 +1,6 @@
-// Shared fixtures of the κ/λ sweep tests: a Kademlia-like random digraph
-// and a deterministic pair-reuse hook that records what a sweep stores.
+// Shared fixtures of the κ/λ sweep and flow tests: a Kademlia-like random
+// digraph, the sweep's common-neighbour warm start, and a deterministic
+// pair-reuse hook that records what a sweep stores.
 #ifndef KADSIM_TESTS_SWEEP_FIXTURES_H
 #define KADSIM_TESTS_SWEEP_FIXTURES_H
 
@@ -11,15 +12,19 @@
 #include <utility>
 #include <vector>
 
+#include "flow/even_transform.h"
+#include "flow/flow_workspace.h"
 #include "flow/pair_reuse.h"
 #include "graph/digraph.h"
 #include "util/rng.h"
 
 namespace kadsim::test_support {
 
-/// Kademlia-like connectivity graph: target out-degree `deg`, mostly
-/// reciprocated edges (same shape as the micro-bench generator).
-inline graph::Digraph kademlia_like_graph(int n, int deg, std::uint64_t seed) {
+/// Kademlia-like connectivity graph: target out-degree `deg`, each edge
+/// reciprocated with probability `reciprocity` (the default, mostly
+/// reciprocated, is the micro-bench generator's shape).
+inline graph::Digraph kademlia_like_graph(int n, int deg, std::uint64_t seed,
+                                          double reciprocity = 0.9) {
     util::Rng rng(seed);
     graph::Digraph g(n);
     for (int u = 0; u < n; ++u) {
@@ -27,11 +32,33 @@ inline graph::Digraph kademlia_like_graph(int n, int deg, std::uint64_t seed) {
             const int v = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(n)));
             if (v == u) continue;
             g.add_edge(u, v);
-            if (rng.next_bool(0.9)) g.add_edge(v, u);
+            if (rng.next_bool(reciprocity)) g.add_edge(v, u);
         }
     }
     g.finalize();
     return g;
+}
+
+/// The κ sweep's first warm start on an Even-layout network
+/// (flow::even_transform or flow::mincut_witness_network of `g`): one unit
+/// through every common neighbour w of u and v (u″→w′→w″→v′). Returns the
+/// units pushed.
+inline int seed_common_neighbours(const graph::Digraph& g, flow::FlowWorkspace& ws, int u,
+                                  int v) {
+    const int n = g.vertex_count();
+    const auto out_u = g.out(u);
+    int seeded = 0;
+    for (std::size_t i = 0; i < out_u.size(); ++i) {
+        const int w = out_u[i];
+        const auto out_w = g.out(w);
+        const auto it = std::lower_bound(out_w.begin(), out_w.end(), v);
+        if (it == out_w.end() || *it != v) continue;
+        ws.add_flow(flow::edge_arc(n, g.edge_offset(u) + static_cast<std::int64_t>(i)), 1);
+        ws.add_flow(flow::internal_arc(w), 1);
+        ws.add_flow(flow::edge_arc(n, g.edge_offset(w) + (it - out_w.begin())), 1);
+        ++seeded;
+    }
+    return seeded;
 }
 
 /// Answers lookups from a fixed (u, v) → value table, which stays frozen

@@ -86,6 +86,29 @@ TEST(Dimacs, RejectsMalformedInput) {
         std::istringstream in("x nonsense\n");
         EXPECT_THROW((void)read_dimacs(in), std::runtime_error);
     }
+    // Node ids the solvers cannot index, a degenerate pair, and a problem
+    // line that would silently discard the arcs read before it.
+    {
+        std::istringstream in("n 1 s\np max 2 1\nn 2 t\na 1 2 5\n");  // no range yet
+        EXPECT_THROW((void)read_dimacs(in), std::runtime_error);
+    }
+    {
+        std::istringstream in("p max 2 1\nn 9 s\nn 2 t\na 1 2 5\n");  // source
+        EXPECT_THROW((void)read_dimacs(in), std::runtime_error);
+    }
+    {
+        std::istringstream in("p max 2 1\nn 1 s\nn 7 t\na 1 2 5\n");  // sink
+        EXPECT_THROW((void)read_dimacs(in), std::runtime_error);
+    }
+    {
+        std::istringstream in("p max 2 1\nn 1 s\nn 1 t\na 1 2 5\n");  // s == t
+        EXPECT_THROW((void)read_dimacs(in), std::runtime_error);
+    }
+    {
+        std::istringstream in(
+            "p max 3 2\nn 1 s\nn 3 t\na 1 2 5\na 2 3 5\np max 3 2\n");
+        EXPECT_THROW((void)read_dimacs(in), std::runtime_error);
+    }
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // The touched-arc undo log: randomized differential testing of the
 // shared-structure kernel (capped Dinic on a reused workspace vs. exact
-// push-relabel on a fresh one vs. the brute-force oracle), plus
-// workspace-reuse purity across pairs and the kernel counters' contract.
+// push-relabel on a fresh one vs. the brute-force oracle), workspace-reuse
+// purity across pairs, the kernel counters' contract, and the κ witness
+// decomposition that reads its flow through the log.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,28 +14,15 @@
 #include "flow/flow_workspace.h"
 #include "flow/push_relabel.h"
 #include "flow/vertex_connectivity.h"
+#include "flow/witness.h"
 #include "graph/digraph.h"
-#include "util/rng.h"
+#include "sweep_fixtures.h"
+#include "witness_oracle.h"
 
 namespace kadsim::flow {
 namespace {
 
-/// Kademlia-like connectivity graph at tiny n: target out-degree `deg`,
-/// mostly reciprocated edges (same shape as the micro-bench generator).
-graph::Digraph kademlia_like_graph(int n, int deg, std::uint64_t seed) {
-    util::Rng rng(seed);
-    graph::Digraph g(n);
-    for (int u = 0; u < n; ++u) {
-        for (int j = 0; j < deg; ++j) {
-            const int v = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(n)));
-            if (v == u) continue;
-            g.add_edge(u, v);
-            if (rng.next_bool(0.9)) g.add_edge(v, u);
-        }
-    }
-    g.finalize();
-    return g;
-}
+using test_support::kademlia_like_graph;
 
 std::vector<std::pair<int, int>> non_adjacent_pairs(const graph::Digraph& g) {
     std::vector<std::pair<int, int>> pairs;
@@ -147,6 +135,62 @@ TEST(FlowWorkspaceCounters, SurfaceThroughConnectivityResult) {
     EXPECT_GT(r.arcs_touched, 0u);
     EXPECT_GT(r.full_resets_avoided, 0u);
     EXPECT_GT(r.arena_bytes, 0u);
+}
+
+// The log-driven κ decomposition emits exactly the row walk's paths, in the
+// same order, and leaves the flow and its scratch as it found them. Flows
+// come from Dinic on a reused workspace, uncapped and capped, some on top of
+// the sweep's common-neighbour warm start.
+TEST(EvenFlowDecomposition, LogWalkMatchesRowWalk) {
+    int decomposed = 0;
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+        const int n = 12 + static_cast<int>(seed % 5) * 20;  // 12..92
+        const int deg = 2 + static_cast<int>(seed % 7) * 3;
+        const graph::Digraph g =
+            kademlia_like_graph(n, deg, seed * 101, seed % 2 == 0 ? 0.9 : 0.3);
+        const FlowNetwork net = even_transform(g);
+        FlowWorkspace ws(net);
+        Dinic dinic;
+        std::vector<int> next_arc(static_cast<std::size_t>(net.vertex_count()), 0);
+        std::vector<int> on_path(next_arc.size(), 0);
+        const auto pairs = non_adjacent_pairs(g);
+        for (std::size_t i = 0; i < pairs.size(); i += 1 + pairs.size() / 40) {
+            const auto [u, v] = pairs[i];
+            ws.reset();
+            const int seeded =
+                i % 3 == 0 ? test_support::seed_common_neighbours(g, ws, u, v) : 0;
+            const int limit = i % 2 == 0 ? Dinic::kUnbounded : 2;
+            const int value =
+                seeded + dinic.max_flow(ws, out_vertex(u), in_vertex(v), limit);
+            std::vector<int> caps(static_cast<std::size_t>(net.arc_count()));
+            for (int a = 0; a < net.arc_count(); ++a) {
+                caps[static_cast<std::size_t>(a)] = ws.cap(a);
+            }
+
+            std::vector<int> witness;
+            std::vector<int> offsets{0};
+            decompose_even_flow(ws, n, out_vertex(u), in_vertex(v), value, next_arc,
+                                witness, offsets);
+            for (int a = 0; a < net.arc_count(); ++a) {
+                ASSERT_EQ(ws.cap(a), caps[static_cast<std::size_t>(a)]) << "flow changed";
+            }
+            ASSERT_TRUE(std::all_of(next_arc.begin(), next_arc.end(),
+                                    [](int x) { return x == 0; }));
+
+            std::vector<int> rows_witness;
+            std::vector<int> rows_offsets{0};
+            test_support::decompose_even_flow_rows(ws, n, out_vertex(u), in_vertex(v),
+                                                   value, on_path, rows_witness,
+                                                   rows_offsets);
+            EXPECT_EQ(witness, rows_witness)
+                << "seed " << seed << " pair (" << u << "," << v << ")";
+            EXPECT_EQ(offsets, rows_offsets)
+                << "seed " << seed << " pair (" << u << "," << v << ")";
+            ASSERT_EQ(offsets.size(), static_cast<std::size_t>(value) + 1);
+            ++decomposed;
+        }
+    }
+    EXPECT_GT(decomposed, 500);
 }
 
 }  // namespace

@@ -1,12 +1,24 @@
-// Max-flow solvers: known values, limits, workspace reuse, and the
-// cross-solver equality property (push-relabel ≡ Dinic ≡ Edmonds–Karp).
+// Max-flow solvers: known values, limits, workspace reuse, the
+// cross-solver equality property (push-relabel ≡ Dinic ≡ Edmonds–Karp), and
+// flow identity: the bidirectional Dinic leaves the one-sided Dinic's
+// residual network, arc for arc.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "dinic_oracle.h"
 #include "edmonds_karp_oracle.h"
 #include "flow/dinic.h"
+#include "flow/edge_connectivity.h"
+#include "flow/even_transform.h"
 #include "flow/flow_network.h"
 #include "flow/flow_workspace.h"
+#include "flow/mincut.h"
 #include "flow/push_relabel.h"
+#include "graph/digraph.h"
+#include "sweep_fixtures.h"
 #include "util/rng.h"
 
 namespace kadsim::flow {
@@ -233,6 +245,165 @@ TEST(CrossSolver, UnitCapacityDenseGraph) {
     FlowWorkspace a(base);
     FlowWorkspace b(base);
     EXPECT_EQ(dinic.max_flow(a, 0, 29), pr.max_flow(b, 0, 29));
+}
+
+// --- flow identity: bidirectional phases vs the one-sided oracle ----------
+
+/// Runs both Dinics from the same residual state (`fresh` and `oracle`
+/// hold equal capacities), expects the same value and the same residual
+/// capacity on every arc, and returns the value.
+int expect_same_flow(FlowWorkspace& fresh, FlowWorkspace& oracle, int s, int t,
+                     int limit, const std::string& where) {
+    Dinic dinic;
+    test_support::ForwardDinic forward;
+    const int got = dinic.max_flow(fresh, s, t, limit);
+    const int want = forward.max_flow(oracle, s, t, limit);
+    EXPECT_EQ(got, want) << where;
+    int differing_arcs = 0;
+    for (int a = 0; a < fresh.network().arc_count(); ++a) {
+        if (fresh.cap(a) != oracle.cap(a)) ++differing_arcs;
+    }
+    EXPECT_EQ(differing_arcs, 0) << where;
+    return got;
+}
+
+// Even networks (κ), witness networks (the daemon's PAIR cut) and unit
+// networks (λ) of Kademlia-like graphs across sizes, degrees and
+// reciprocities: uncapped, capped at the degree bound, and — on the Even
+// layouts — topped up from the sweep's common-neighbour seeding, each on
+// one reused workspace per solver.
+TEST(DinicFlowIdentity, KademliaNetworksMatchForwardDinicArcForArc) {
+    const int sizes[] = {10, 30, 75, 140, 210};
+    const int degrees[] = {1, 3, 8, 16, 30};
+    int flows = 0;
+    for (const int n : sizes) {
+        for (const int deg : degrees) {
+            for (const double reciprocity : {0.3, 0.9}) {
+                const auto seed = static_cast<std::uint64_t>(n * 1000 + deg) +
+                                  (reciprocity < 0.5 ? 0 : 500000);
+                const graph::Digraph g =
+                    test_support::kademlia_like_graph(n, deg, seed, reciprocity);
+                const std::vector<int> in_degrees = g.in_degrees();
+                util::Rng rng(seed);
+                for (int kind = 0; kind < 3; ++kind) {
+                    const bool unit = kind == 2;
+                    const FlowNetwork net = kind == 0   ? even_transform(g)
+                                            : kind == 1 ? mincut_witness_network(g)
+                                                        : unit_capacity_network(g);
+                    FlowWorkspace fresh(net);
+                    FlowWorkspace oracle(net);
+                    for (int trial = 0; trial < 8; ++trial) {
+                        const auto u = static_cast<int>(
+                            rng.next_below(static_cast<std::uint64_t>(n)));
+                        const auto v = static_cast<int>(
+                            rng.next_below(static_cast<std::uint64_t>(n)));
+                        if (u == v || (!unit && g.has_edge(u, v))) continue;
+                        const int s = unit ? u : out_vertex(u);
+                        const int t = unit ? v : in_vertex(v);
+                        const int bound = std::min(g.out_degree(u),
+                                                   in_degrees[static_cast<std::size_t>(v)]);
+                        for (int mode = 0; mode < (unit ? 2 : 4); ++mode) {
+                            fresh.reset();
+                            oracle.reset();
+                            int seeded = 0;
+                            if (mode >= 2) {
+                                using test_support::seed_common_neighbours;
+                                seeded = seed_common_neighbours(g, fresh, u, v);
+                                ASSERT_EQ(seed_common_neighbours(g, oracle, u, v), seeded);
+                            }
+                            const bool capped = mode % 2 == 1;
+                            if (capped && seeded >= bound) continue;
+                            const int limit = capped ? bound - seeded : Dinic::kUnbounded;
+                            expect_same_flow(fresh, oracle, s, t, limit,
+                                             "n=" + std::to_string(n) +
+                                                 " deg=" + std::to_string(deg) +
+                                                 " r=" + std::to_string(reciprocity) +
+                                                 " kind=" + std::to_string(kind) +
+                                                 " pair=(" + std::to_string(u) + "," +
+                                                 std::to_string(v) + ")" +
+                                                 " mode=" + std::to_string(mode));
+                            ++flows;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(flows, 1000);
+}
+
+// General capacities, antiparallel arcs, arbitrary (s, t): the random
+// networks of the cross-solver test, capped and uncapped.
+TEST(DinicFlowIdentity, RandomNetworksMatchForwardDinicArcForArc) {
+    for (int seed = 1; seed <= 60; ++seed) {
+        util::Rng rng(static_cast<std::uint64_t>(seed) * 7919);
+        const int n = 4 + static_cast<int>(rng.next_below(40));
+        const double p = 0.05 + rng.next_double() * 0.35;
+        const FlowNetwork net = random_network(rng, n, p, 1 + seed % 6);
+        FlowWorkspace fresh(net);
+        FlowWorkspace oracle(net);
+        for (int trial = 0; trial < 6; ++trial) {
+            const int s = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(n)));
+            int t = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(n)));
+            if (t == s) t = (t + 1) % n;
+            const int limit = trial % 2 == 0 ? Dinic::kUnbounded : 1 + trial;
+            fresh.reset();
+            oracle.reset();
+            expect_same_flow(fresh, oracle, s, t, limit,
+                             "seed " + std::to_string(seed) + " trial " +
+                                 std::to_string(trial));
+        }
+    }
+}
+
+// The sink has no residual in-arc: the backward frontier (smaller once the
+// source's row has been expanded) empties first, and the flow is zero.
+TEST(DinicFlowIdentity, BackwardFrontierRunsOutFirst) {
+    FlowNetwork net(5);
+    net.add_arc(0, 1, 1);
+    net.add_arc(0, 2, 1);
+    net.add_arc(1, 3, 1);
+    net.add_arc(4, 0, 1);  // the sink's only arc leaves it
+    net.finalize();
+    FlowWorkspace fresh(net);
+    FlowWorkspace oracle(net);
+    EXPECT_EQ(expect_same_flow(fresh, oracle, 0, 4, Dinic::kUnbounded, "t without in-arcs"),
+              0);
+    EXPECT_TRUE(fresh.touched().empty());
+}
+
+// The source has no residual out-arc: the forward frontier (expanded first
+// on a tie) empties first, and the flow is zero.
+TEST(DinicFlowIdentity, ForwardFrontierRunsOutFirst) {
+    FlowNetwork net(4);
+    net.add_arc(1, 0, 2);  // the source's only arc enters it
+    net.add_arc(1, 3, 2);
+    net.add_arc(2, 3, 2);
+    net.finalize();
+    FlowWorkspace fresh(net);
+    FlowWorkspace oracle(net);
+    EXPECT_EQ(expect_same_flow(fresh, oracle, 0, 3, Dinic::kUnbounded, "s without out-arcs"),
+              0);
+    EXPECT_TRUE(fresh.touched().empty());
+}
+
+// A direct s→t arc is a distance-1 phase (the forward BFS meets t at once);
+// the longer paths follow in later phases, and a cap can stop either.
+TEST(DinicFlowIdentity, DirectArcToSink) {
+    FlowNetwork net(4);
+    net.add_arc(0, 3, 3);
+    net.add_arc(0, 1, 2);
+    net.add_arc(1, 2, 2);
+    net.add_arc(2, 3, 1);
+    net.add_arc(1, 3, 1);
+    net.finalize();
+    for (const int limit : {Dinic::kUnbounded, 2, 4}) {
+        FlowWorkspace fresh(net);
+        FlowWorkspace oracle(net);
+        EXPECT_EQ(expect_same_flow(fresh, oracle, 0, 3, limit,
+                                   "limit " + std::to_string(limit)),
+                  std::min(limit, 5));
+    }
 }
 
 }  // namespace
