@@ -3,19 +3,19 @@
 // Consecutive routing snapshots of a churning overlay differ in a handful
 // of nodes, yet the full sweep re-pays every sampled max flow. This cache
 // closes that gap with *witness revalidation* instead of dependency
-// tracking: every pair the kernels settle is stored — keyed by the
-// endpoints' stable overlay addresses — together with a two-sided witness
-// (pair_reuse.h): f disjoint paths proving value ≥ f and a size-f cut
-// proving value ≤ f. On a later snapshot the pair is reused iff every
-// witness path still exists edge-for-edge AND the cut still separates the
-// endpoints — both checked against the *current* graph, so a hit re-proves
-// value = f outright, independent of how the degree bounds have drifted
-// since the value was computed. Churn inside either witness half — a
-// departed node, a dropped routing-table edge, a fresh edge that routes
-// around the cut — fails revalidation and forces a recompute. Reuse can
-// therefore never change a reported value, only skip work; the delta-on
-// and delta-off series are bit-identical by construction, and
-// tests/test_incremental_analysis.cpp pins exactly that.
+// tracking: every pair the kernels settle at its source's out-degree f is
+// stored — keyed by the endpoints' stable overlay addresses — together
+// with f disjoint paths (pair_reuse.h). On a later snapshot the pair is
+// reused iff out°(u) is still f (u's out-row is then a size-f cut, so
+// value ≤ f) AND every witness path still exists edge-for-edge (value ≥ f)
+// — both checked against the *current* graph, so a hit re-proves value = f
+// outright, independent of how v's in-degree has drifted since the value
+// was computed. Churn in u's out-row or inside a path — a departed node, a
+// dropped or added routing-table edge of u, an evicted path edge — fails
+// revalidation and forces a recompute. Reuse can therefore never change a
+// reported value, only skip work; the delta-on and delta-off series are
+// bit-identical by construction, and tests/test_incremental_analysis.cpp
+// pins exactly that.
 //
 // Lifecycle per snapshot (single analysis in flight at a time):
 //
@@ -59,14 +59,14 @@ class SnapshotDeltaCache;
 
 namespace detail {
 
-/// One connectivity metric's witness store (κ and λ have independent
-/// witness semantics, so the delta cache owns one of these per metric).
+/// One connectivity metric's witness store (a pair may hold a κ and a λ
+/// entry, with vertex- and edge-disjoint paths, so the delta cache owns one
+/// of these per metric).
 class PairCache final : public flow::PairReuseHook {
 public:
     [[nodiscard]] int lookup(int u, int v) override;
     void store(int u, int v, int value, std::span<const int> witness,
-               std::span<const int> path_offsets,
-               std::span<const int> cut) override;
+               std::span<const int> path_offsets) override;
 
 private:
     friend class ::kadsim::analysis::SnapshotDeltaCache;
@@ -77,14 +77,7 @@ private:
         /// delimited by `offsets` (pair_reuse.h layout).
         std::vector<std::uint32_t> nodes;
         std::vector<std::int32_t> offsets;
-        /// The separating set, as overlay addresses: `value` vertices (κ)
-        /// or `value` flattened (tail, head) pairs (λ).
-        std::vector<std::uint32_t> cut;
     };
-
-    /// λ cuts are edge lists ((tail, head) address pairs), κ cuts vertex
-    /// lists; set once by SnapshotDeltaCache.
-    bool edge_cut = false;
 
     // Sweep-frozen context, rebound by SnapshotDeltaCache::begin_snapshot.
     const graph::Digraph* graph = nullptr;
@@ -103,8 +96,6 @@ private:
 
 class SnapshotDeltaCache {
 public:
-    SnapshotDeltaCache() { lambda_.edge_cut = true; }
-
     /// Rebinds the cache to the next snapshot in the series: `graph` must be
     /// `snapshot.to_digraph()` (vertex i ⇔ snapshot.nodes[i]), and must stay
     /// alive until end_snapshot(). Prunes committed entries whose endpoints

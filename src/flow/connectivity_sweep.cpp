@@ -22,13 +22,6 @@ namespace kadsim::flow {
 
 namespace {
 
-/// Reach budget of the sub-bound min-cut walk: a pair whose residual source
-/// side exceeds this many network nodes is not stored — its revalidation
-/// BFS would explore the same region on every later snapshot, eating the
-/// reuse win. Bottlenecks hug the smallest-out-degree sources in practice,
-/// so the typical source side is a handful of nodes.
-constexpr std::size_t kMaxCutReach = 256;
-
 /// Arc id of the connectivity-graph edge with global CSR index `edge_index`
 /// in a unit_capacity_network (arcs alternate forward/reverse).
 int unit_arc(std::int64_t edge_index) {
@@ -122,13 +115,6 @@ private:
     int lambda_pair(const Source& s, int v, int bound);
     /// Starts a pair's scratch epoch and stamps in(v) with it.
     void stamp_in(int v);
-    /// Collects the residual-reachable side of `start` in `ws` into
-    /// reach_list_ (stamped with the current epoch); false once it exceeds
-    /// kMaxCutReach nodes.
-    bool reach_residual(const FlowWorkspace& ws, int start);
-    /// λ's storable cut when the pair settles at u's out-degree: u's
-    /// out-edges of the original graph, as flattened (tail, head) pairs.
-    void store_lambda_out_row(int u, int v, int lambda);
 
     const Sweep& sweep_;
     PartialResult result_;
@@ -146,16 +132,10 @@ private:
     std::vector<int> used_stamp_;
     // Witness scratch, allocated only when a reuse hook is attached:
     // path-decomposition buffers (the per-network-node scratch holds κ's
-    // next flow arcs or λ's on-path marks) plus the residual-BFS state of
-    // the sub-bound min-cut extraction (network-node reach set, per-vertex
-    // cut dedupe, the cut itself).
+    // next flow arcs or λ's on-path marks).
     std::vector<int> witness_;
     std::vector<int> offsets_;
     std::vector<int> path_scratch_;
-    std::vector<int> reach_stamp_;
-    std::vector<int> reach_list_;
-    std::vector<int> cut_stamp_;
-    std::vector<int> cut_scratch_;
     int epoch_ = 0;
 };
 
@@ -169,11 +149,7 @@ Lane::Lane(const Sweep& sweep) : sweep_(sweep), ws_(sweep.net) {
         direct_pos_.assign(n, 0);
     }
     in_v_stamp_.assign(n, 0);
-    if (sweep.reuse != nullptr) {
-        path_scratch_.assign(nodes, 0);
-        reach_stamp_.assign(nodes, 0);
-        cut_stamp_.assign(n, 0);
-    }
+    if (sweep.reuse != nullptr) path_scratch_.assign(nodes, 0);
 }
 
 void Lane::evaluate(std::size_t index) {
@@ -229,24 +205,6 @@ void Lane::stamp_in(int v) {
     for (const int x : sweep_.rev.out(v)) in_v_stamp_[static_cast<std::size_t>(x)] = epoch_;
 }
 
-bool Lane::reach_residual(const FlowWorkspace& ws, int start) {
-    const FlowNetwork& net = ws.network();
-    reach_list_.clear();
-    reach_list_.push_back(start);
-    reach_stamp_[static_cast<std::size_t>(start)] = epoch_;
-    for (std::size_t head = 0; head < reach_list_.size(); ++head) {
-        for (const int a : net.arcs_of(reach_list_[head])) {
-            if (ws.cap(a) <= 0) continue;
-            const auto y = static_cast<std::size_t>(net.arc_to(a));
-            if (reach_stamp_[y] == epoch_) continue;
-            reach_stamp_[y] = epoch_;
-            reach_list_.push_back(static_cast<int>(y));
-        }
-        if (reach_list_.size() > kMaxCutReach) return false;
-    }
-    return true;
-}
-
 /// κ(u,v) for a non-adjacent pair.
 ///
 /// Degree-bound fast path: κ(u,v) ≤ bound — every u→v path consumes a
@@ -272,17 +230,14 @@ bool Lane::reach_residual(const FlowWorkspace& ws, int start) {
 ///
 /// Delta reuse (pair_reuse.h): when a hook is present, every pair is first
 /// offered to it — a valid stored witness settles the pair with no graph or
-/// network work at all — and settled pairs are stored back with a two-sided
-/// witness: κ vertex-disjoint paths (the common neighbours of the no-flow
-/// settle, or a flow decomposition — flow/witness.h — of the seeded + Dinic
-/// flow) plus a size-κ separating set. When the pair settles at the
-/// source's out-degree the cut is simply u's out-row; when the capped Dinic
-/// run ends *below* the bound the workspace holds a maximum flow, and the
-/// residual-reachable side of the Even network yields a minimum vertex cut
-/// (a crossing internal arc names its vertex; a crossing edge arc x″→y′
-/// names y — or x when y is the sink — which is on every path using that
-/// edge). Lookups read only sweep-frozen state and stores are buffered by
-/// the hook, so results stay bit-identical for any lane count.
+/// network work at all — and pairs settled at the source's out-degree are
+/// stored back with κ vertex-disjoint paths (the common neighbours of the
+/// no-flow settle, or a flow decomposition — flow/witness.h — of the
+/// seeded + Dinic flow); u's out-row is their cut. A pair settled at v's
+/// in-degree or below the bound is not stored: the smallest-out-degree
+/// source selection makes both rare. Lookups read only sweep-frozen state
+/// and stores are buffered by the hook, so results stay bit-identical for
+/// any lane count.
 int Lane::kappa_pair(const Source& s, int v, int bound) {
     if (bound == 0) {
         ++result_.pairs_skipped;
@@ -313,12 +268,7 @@ int Lane::kappa_pair(const Source& s, int v, int bound) {
     }
     if (common >= bound) {
         ++result_.flows_capped;
-        // Storable only when the bound is u's out-degree: then u's out-row
-        // is a size-κ separating set (removing all of u's successors
-        // isolates it). An in-degree-pinned settle has no cheap cut here —
-        // in(v) of the original graph is not materialized in this lane —
-        // and the smallest-out-degree source selection makes that the rare
-        // case.
+        // Storable only when the bound is u's out-degree (see above).
         if (reuse != nullptr && bound == s.out_degree) {
             witness_.clear();
             offsets_.assign(1, 0);
@@ -330,7 +280,7 @@ int Lane::kappa_pair(const Source& s, int v, int bound) {
                 offsets_.push_back(static_cast<int>(witness_.size()));
                 ++taken;
             }
-            reuse->store(u, v, bound, witness_, offsets_, sweep_.gsel.out(u));
+            reuse->store(u, v, bound, witness_, offsets_);
         }
         return bound;
     }
@@ -388,44 +338,12 @@ int Lane::kappa_pair(const Source& s, int v, int bound) {
             // The workspace holds the full seeded + Dinic flow of value
             // κ = bound; decompose it into the disjoint-path witness. The
             // walk reads the flow through the undo log without changing
-            // it, so the counters and the next reset are untouched. The
-            // cut is u's out-row (see the no-flow settle above).
+            // it, so the counters and the next reset are untouched.
             witness_.clear();
             offsets_.assign(1, 0);
             decompose_even_flow(ws_, n, out_vertex(u), in_vertex(v), kappa,
                                 path_scratch_, witness_, offsets_);
-            reuse->store(u, v, kappa, witness_, offsets_, sweep_.gsel.out(u));
-        }
-    } else if (reuse != nullptr && reach_residual(ws_, out_vertex(u))) {
-        // κ ended below the cap, so Dinic ran out of augmenting paths and
-        // the workspace holds a *maximum* flow: the residual-reachable side
-        // of the Even network yields a minimum vertex cut. Crossing forward
-        // arcs map to vertices: an internal arc 2w names w; an edge arc
-        // x″→y′ names y (on every path through that edge), or its tail x
-        // when y is the sink. Injective — two crossing arcs never name one
-        // vertex — so the cut has exactly κ members; the defensive size
-        // check below costs nothing.
-        const FlowNetwork& net = sweep_.net;
-        cut_scratch_.clear();
-        for (const int z : reach_list_) {
-            for (const int a : net.arcs_of(z)) {
-                if (net.original_cap(a) <= 0) continue;
-                const int y = net.arc_to(a);
-                if (reach_stamp_[static_cast<std::size_t>(y)] == epoch_) continue;
-                const int member = a < 2 * n ? a / 2 : y / 2 == v ? z / 2 : y / 2;
-                const auto ms = static_cast<std::size_t>(member);
-                if (cut_stamp_[ms] != epoch_) {
-                    cut_stamp_[ms] = epoch_;
-                    cut_scratch_.push_back(member);
-                }
-            }
-        }
-        if (static_cast<int>(cut_scratch_.size()) == kappa) {
-            witness_.clear();
-            offsets_.assign(1, 0);
-            decompose_even_flow(ws_, n, out_vertex(u), in_vertex(v), kappa,
-                                path_scratch_, witness_, offsets_);
-            reuse->store(u, v, kappa, witness_, offsets_, cut_scratch_);
+            reuse->store(u, v, kappa, witness_, offsets_);
         }
     }
     return kappa;
@@ -443,12 +361,10 @@ int Lane::kappa_pair(const Source& s, int v, int bound) {
 /// from the seeded residual (a feasible integral flow is a legal warm
 /// start).
 ///
-/// Settled pairs are stored back with a two-sided witness: λ edge-disjoint
-/// paths (the direct edge and two-hop candidates of the no-flow settle, or
-/// a flow decomposition — flow/witness.h — of the seeded + Dinic flow) plus
-/// a size-λ separating edge set — u's out-edges when the pair settles at
-/// the out-degree bound, or the saturated edges crossing the
-/// residual-reachable side (a minimum cut) when Dinic ends below the bound.
+/// Pairs settled at the source's out-degree are stored back with λ
+/// edge-disjoint paths (the direct edge and two-hop candidates of the
+/// no-flow settle, or a flow decomposition — flow/witness.h — of the
+/// seeded + Dinic flow); u's out-edges are their cut.
 int Lane::lambda_pair(const Source& s, int v, int bound) {
     if (bound == 0) {
         ++result_.pairs_skipped;
@@ -490,7 +406,7 @@ int Lane::lambda_pair(const Source& s, int v, int bound) {
                 offsets_.push_back(static_cast<int>(witness_.size()));
                 ++taken;
             }
-            store_lambda_out_row(u, v, bound);
+            reuse->store(u, v, bound, witness_, offsets_);
         }
         return bound;
     }
@@ -518,41 +434,10 @@ int Lane::lambda_pair(const Source& s, int v, int bound) {
             witness_.clear();
             offsets_.assign(1, 0);
             decompose_unit_flow(ws_, u, v, lambda, path_scratch_, witness_, offsets_);
-            store_lambda_out_row(u, v, lambda);
-        }
-    } else if (reuse != nullptr && reach_residual(ws_, u)) {
-        // λ ended below the cap: the workspace holds a maximum flow, and
-        // the saturated edges leaving the residual-reachable set are a
-        // minimum edge cut (walked before the decomposition consumes the
-        // flow).
-        const FlowNetwork& net = sweep_.net;
-        cut_scratch_.clear();
-        for (const int x : reach_list_) {
-            for (const int a : net.arcs_of(x)) {
-                if (net.original_cap(a) <= 0) continue;
-                const int y = net.arc_to(a);
-                if (reach_stamp_[static_cast<std::size_t>(y)] == epoch_) continue;
-                cut_scratch_.push_back(x);
-                cut_scratch_.push_back(y);
-            }
-        }
-        if (static_cast<int>(cut_scratch_.size()) == 2 * lambda) {
-            witness_.clear();
-            offsets_.assign(1, 0);
-            decompose_unit_flow(ws_, u, v, lambda, path_scratch_, witness_, offsets_);
-            reuse->store(u, v, lambda, witness_, offsets_, cut_scratch_);
+            reuse->store(u, v, lambda, witness_, offsets_);
         }
     }
     return lambda;
-}
-
-void Lane::store_lambda_out_row(int u, int v, int lambda) {
-    cut_scratch_.clear();
-    for (const int w : sweep_.gsel.out(u)) {
-        cut_scratch_.push_back(u);
-        cut_scratch_.push_back(w);
-    }
-    sweep_.reuse->store(u, v, lambda, witness_, offsets_, cut_scratch_);
 }
 
 /// The sweep's one claim loop: takes (source, sink block) items off the

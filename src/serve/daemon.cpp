@@ -12,6 +12,7 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "exec/thread_pool.h"
 #include "flow/flow_workspace.h"
@@ -117,6 +118,7 @@ void Daemon::stop() {
     {
         std::lock_guard lock(conn_mutex_);
         conns.swap(conn_threads_);
+        conns.push_back(std::move(finished_conn_));
     }
     for (auto& t : conns) {
         if (t.joinable()) t.join();
@@ -351,12 +353,26 @@ void Daemon::serve_connection(int fd) {
         if (shutdown_after_reply) stop_requested_.store(true);
         if (w != FrameResult::kOk) break;
     }
+    // Park this thread's handle in the finished slot and join the one it
+    // displaces, which has nothing left to run: an ended connection's
+    // thread, and its stack, is reclaimed when the next connection ends or
+    // by stop(), so the daemon holds one thread per open connection plus at
+    // most one finished. After stop() took the handles it finds none here.
+    std::thread previous;
     {
         std::lock_guard lock(conn_mutex_);
         conn_fds_.erase(std::remove(conn_fds_.begin(), conn_fds_.end(), fd),
                         conn_fds_.end());
+        const auto self = std::find_if(
+            conn_threads_.begin(), conn_threads_.end(),
+            [](const std::thread& t) { return t.get_id() == std::this_thread::get_id(); });
+        if (self != conn_threads_.end()) {
+            previous = std::exchange(finished_conn_, std::move(*self));
+            conn_threads_.erase(self);
+        }
     }
     ::close(fd);
+    if (previous.joinable()) previous.join();
 }
 
 // ---------------------------------------------------------------------------

@@ -227,7 +227,8 @@ private:
     std::thread watcher_;
     std::thread acceptor_;
     std::mutex conn_mutex_;
-    std::vector<std::thread> conn_threads_;
+    std::vector<std::thread> conn_threads_;  ///< open connections
+    std::thread finished_conn_;  ///< the last ended connection, not yet joined
     std::vector<int> conn_fds_;
 };
 

@@ -72,7 +72,6 @@ public:
         int value = 0;
         std::vector<int> witness;
         std::vector<int> offsets;
-        std::vector<int> cut;
         bool operator==(const Stored&) const = default;
     };
 
@@ -85,10 +84,9 @@ public:
     }
 
     void store(int u, int v, int value, std::span<const int> witness,
-               std::span<const int> path_offsets,
-               std::span<const int> cut) override {
+               std::span<const int> path_offsets) override {
         Stored s{u, v, value, {witness.begin(), witness.end()},
-                 {path_offsets.begin(), path_offsets.end()}, {cut.begin(), cut.end()}};
+                 {path_offsets.begin(), path_offsets.end()}};
         const std::lock_guard<std::mutex> guard(mutex_);
         stored_.push_back(std::move(s));
     }

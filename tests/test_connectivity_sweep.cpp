@@ -1,10 +1,12 @@
 // The κ/λ sweep against its κ-only and λ-only entry points: both halves
 // must equal vertex_connectivity / edge_connectivity on any lane count,
-// with the certificate on or off, and with reuse hooks attached.
+// with the certificate on or off, and with reuse hooks attached; and every
+// witness the sweep hands a reuse hook proves the value stored with it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -215,6 +217,84 @@ TEST(ConnectivitySweep, LambdaHookSeesOnlyUnsettledPairs) {
         EXPECT_LT(pair_vertex_connectivity(g, s.u, s.v), bound)
             << "(" << s.u << "," << s.v << ")";
     }
+}
+
+/// Checks one stored witness against `g` (pair_reuse.h): the value is
+/// out°(u), one path per unit, every path edge exists, κ interiors are
+/// pairwise distinct and never an endpoint, λ edges are pairwise distinct.
+void expect_witness_proves_value(const graph::Digraph& g, bool kappa,
+                                 const TableReuseHook::Stored& s) {
+    SCOPED_TRACE(std::string(kappa ? "kappa" : "lambda") + " (" + std::to_string(s.u) +
+                 "," + std::to_string(s.v) + ")");
+    // u's out-row is a size-value cut; a κ pair is never adjacent, so v is
+    // not in it.
+    EXPECT_EQ(s.value, g.out_degree(s.u));
+    if (kappa) {
+        EXPECT_FALSE(g.has_edge(s.u, s.v));
+    }
+    ASSERT_EQ(s.offsets.size(), static_cast<std::size_t>(s.value) + 1);
+    ASSERT_EQ(s.offsets.front(), 0);
+    ASSERT_EQ(s.offsets.back(), static_cast<int>(s.witness.size()));
+    std::set<int> interiors;
+    std::set<std::pair<int, int>> edges;
+    for (std::size_t p = 0; p + 1 < s.offsets.size(); ++p) {
+        ASSERT_LE(s.offsets[p], s.offsets[p + 1]);
+        int prev = s.u;
+        for (int i = s.offsets[p]; i < s.offsets[p + 1]; ++i) {
+            const int w = s.witness[static_cast<std::size_t>(i)];
+            if (kappa) {
+                EXPECT_NE(w, s.u);
+                EXPECT_NE(w, s.v);
+                EXPECT_TRUE(interiors.insert(w).second) << "vertex " << w << " reused";
+            }
+            EXPECT_TRUE(g.has_edge(prev, w)) << prev << "->" << w;
+            EXPECT_TRUE(edges.insert({prev, w}).second) << prev << "->" << w << " reused";
+            prev = w;
+        }
+        EXPECT_TRUE(g.has_edge(prev, s.v)) << prev << "->" << s.v;
+        EXPECT_TRUE(edges.insert({prev, s.v}).second) << prev << "->" << s.v << " reused";
+    }
+}
+
+// Every witness a sweep stores proves its value on the graph it came from:
+// value paths that exist edge for edge and are disjoint, and value equal to
+// the source's out-degree, whose out-row is then the matching cut. Sparse
+// and dense, mostly one-way and mostly reciprocated graphs, with the
+// certificate off and on (the paths then run in the certificate, a
+// subgraph of g).
+TEST(ConnectivitySweep, EveryStoredWitnessProvesItsValue) {
+    std::size_t checked = 0;
+    for (const int n : {63, 130, 300}) {
+        for (const double reciprocity : {0.3, 0.9}) {
+            for (const int degree : {3, 6, 12}) {
+                const graph::Digraph g = test_support::kademlia_like_graph(
+                    n, degree, static_cast<std::uint64_t>(31 * n + degree), reciprocity);
+                for (const bool certificate : {false, true}) {
+                    SCOPED_TRACE("n=" + std::to_string(n) + " reciprocity=" +
+                                 std::to_string(reciprocity) + " degree=" +
+                                 std::to_string(degree) +
+                                 (certificate ? " certificate" : " plain"));
+                    ConnectivityOptions options;
+                    options.sample_fraction = 0.1;
+                    options.min_sources = 4;
+                    options.use_certificate = certificate;
+                    TableReuseHook kappa_hook;
+                    TableReuseHook lambda_hook;
+                    options.reuse = &kappa_hook;
+                    (void)connectivity_sweep(g, options, &lambda_hook);
+                    for (const auto& s : kappa_hook.sorted_stores()) {
+                        expect_witness_proves_value(g, true, s);
+                        ++checked;
+                    }
+                    for (const auto& s : lambda_hook.sorted_stores()) {
+                        expect_witness_proves_value(g, false, s);
+                        ++checked;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(checked, 0u);
 }
 
 // A min_sources floor above n is capped at n (std::clamp's bounds must not

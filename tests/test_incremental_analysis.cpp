@@ -6,11 +6,13 @@
 // serialization the golden-hash suite (test_fault_equivalence.cpp) uses —
 // delta+certificate runs must reproduce the delta-off series exactly,
 // including the pre-refactor golden hash on the churn scenario. The unit
-// tests pin the two-sided revalidation rules one by one: witness-edge churn
-// forcing a recompute, a fresh route around the stored cut forcing a
-// recompute, degree drift *outside* the witness not forcing one, departed
-// interior nodes and endpoints, and the zero-length direct-edge witness
-// of λ.
+// tests pin the revalidation rule — the source's out-degree still equals
+// the stored value, and every witness path still exists — one case at a
+// time: witness-edge churn forcing a recompute, any change to the source's
+// out-row forcing a recompute (a fresh route around it, or a new
+// out-neighbour that leads nowhere), degree drift *outside* that row not
+// forcing one, departed interior nodes and endpoints, and the zero-length
+// direct-edge witness of λ.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -23,6 +25,7 @@
 #include "core/analyzer.h"
 #include "core/experiment.h"
 #include "fault/spec.h"
+#include "flow/vertex_connectivity.h"
 #include "graph/snapshot.h"
 #include "util/rng.h"
 #include "util/sha1.h"
@@ -164,25 +167,24 @@ TEST(SnapshotDeltaCache, ReusesOnlyWhileWitnessSurvives) {
     const graph::Digraph g1 = snap1.to_digraph();
     cache.begin_snapshot(snap1, g1);
 
-    // Pair (0,2): κ = 2 with witness paths {1}, {3} and cut {1, 3}.
+    // Pair (0,2): κ = 2 = out°(0) with witness paths {1}, {3}.
     const std::vector<int> witness{1, 3};
     const std::vector<int> offsets{0, 1, 2};
-    const std::vector<int> cut{1, 3};
-    cache.kappa_hook()->store(0, 2, 2, witness, offsets, cut);
+    cache.kappa_hook()->store(0, 2, 2, witness, offsets);
     // Stores are invisible until end_snapshot commits them.
     EXPECT_EQ(cache.kappa_hook()->lookup(0, 2), -1);
     cache.end_snapshot();
 
-    // Same graph next snapshot: paths intact, cut still separates → hit.
+    // Same graph next snapshot: paths intact, out°(0) still 2 → hit.
     const graph::RoutingSnapshot snap2 = make_snapshot(addrs, edges);
     const graph::Digraph g2 = snap2.to_digraph();
     cache.begin_snapshot(snap2, g2);
     EXPECT_EQ(cache.kappa_hook()->lookup(0, 2), 2);
     cache.end_snapshot();
 
-    // Degree drift outside the witness — an extra edge 2→0 changes both
-    // endpoints' degrees (and so the bound a fresh computation would run
-    // under) but neither witness half: still a hit.
+    // Degree drift outside the witness — an extra edge 2→0 changes in°(0)
+    // and out°(2) (and so the bound a fresh computation of (2,0) would run
+    // under) but neither the paths nor out°(0): still a hit.
     const graph::RoutingSnapshot snap2b =
         make_snapshot(addrs, {{0, 1}, {1, 2}, {0, 3}, {3, 2}, {2, 0}});
     const graph::Digraph g2b = snap2b.to_digraph();
@@ -211,8 +213,9 @@ TEST(SnapshotDeltaCache, ReusesOnlyWhileWitnessSurvives) {
 }
 
 // The cut half of the witness: a joiner that opens a route around the
-// stored separator must force a recompute even though every witness path is
-// intact (κ may genuinely have grown).
+// source's out-row {1, 3} must force a recompute even though every witness
+// path is intact (κ may genuinely have grown). The new edge 0→4 raises
+// out°(0) to 3, and the degree check refuses the entry.
 TEST(SnapshotDeltaCache, FreshRouteAroundCutForcesRecompute) {
     const std::vector<std::uint32_t> addrs{100, 101, 102, 103};
     const std::vector<std::pair<int, int>> edges{
@@ -223,7 +226,7 @@ TEST(SnapshotDeltaCache, FreshRouteAroundCutForcesRecompute) {
     const graph::Digraph g1 = snap1.to_digraph();
     cache.begin_snapshot(snap1, g1);
     cache.kappa_hook()->store(0, 2, 2, std::vector<int>{1, 3},
-                              std::vector<int>{0, 1, 2}, std::vector<int>{1, 3});
+                              std::vector<int>{0, 1, 2});
     cache.end_snapshot();
 
     // Node 104 joins with 0→4→2: {101, 103} no longer separates.
@@ -236,6 +239,33 @@ TEST(SnapshotDeltaCache, FreshRouteAroundCutForcesRecompute) {
     cache.end_snapshot();
 }
 
+// The degree rule is stricter than separation: node 104 joins with 0→4 and
+// 4→0 only, so {101, 103} still separates 0 from 2 and κ(0,2) is still 2,
+// but u's out-row is no longer a size-2 cut. The entry is refused and the
+// kernel recomputes the same value.
+TEST(SnapshotDeltaCache, OutDegreeGrowthForcesRecompute) {
+    const std::vector<std::pair<int, int>> edges{
+        {0, 1}, {1, 2}, {0, 3}, {3, 2}};
+
+    analysis::SnapshotDeltaCache cache;
+    const graph::RoutingSnapshot snap1 = make_snapshot({100, 101, 102, 103}, edges);
+    const graph::Digraph g1 = snap1.to_digraph();
+    cache.begin_snapshot(snap1, g1);
+    cache.kappa_hook()->store(0, 2, 2, std::vector<int>{1, 3},
+                              std::vector<int>{0, 1, 2});
+    cache.end_snapshot();
+
+    const graph::RoutingSnapshot snap2 = make_snapshot(
+        {100, 101, 102, 103, 104},
+        {{0, 1}, {1, 2}, {0, 3}, {3, 2}, {0, 4}, {4, 0}});
+    const graph::Digraph g2 = snap2.to_digraph();
+    cache.begin_snapshot(snap2, g2);
+    EXPECT_EQ(g2.out_degree(0), 3);
+    EXPECT_EQ(flow::pair_vertex_connectivity(g2, 0, 2), 2);
+    EXPECT_EQ(cache.kappa_hook()->lookup(0, 2), -1);
+    cache.end_snapshot();
+}
+
 TEST(SnapshotDeltaCache, DirectEdgeLambdaWitness) {
     const std::vector<std::uint32_t> addrs{7, 9};
     analysis::SnapshotDeltaCache cache;
@@ -243,12 +273,10 @@ TEST(SnapshotDeltaCache, DirectEdgeLambdaWitness) {
     const graph::RoutingSnapshot snap1 = make_snapshot(addrs, {{0, 1}, {1, 0}});
     const graph::Digraph g1 = snap1.to_digraph();
     cache.begin_snapshot(snap1, g1);
-    // λ(0,1) = 1 via the direct edge: a single zero-length witness path,
-    // and the edge itself — stored as a flattened (tail, head) pair — is
-    // the cut.
+    // λ(0,1) = 1 = out°(0) via the direct edge: a single zero-length
+    // witness path, and the edge itself — 0's whole out-row — is the cut.
     const std::vector<int> offsets{0, 0};
-    const std::vector<int> cut{0, 1};
-    cache.lambda_hook()->store(0, 1, 1, {}, offsets, cut);
+    cache.lambda_hook()->store(0, 1, 1, {}, offsets);
     cache.end_snapshot();
 
     const graph::RoutingSnapshot snap2 = make_snapshot(addrs, {{0, 1}, {1, 0}});
@@ -265,16 +293,16 @@ TEST(SnapshotDeltaCache, DirectEdgeLambdaWitness) {
     cache.end_snapshot();
 }
 
-// The λ cut half: a two-hop detour joining the overlay makes the stored
-// single-edge cut insufficient — the entry must be refused even though the
-// direct edge (the witness path) is intact.
+// The λ cut half: a two-hop detour joining the overlay makes 0's old
+// single-edge out-row insufficient — the entry must be refused even though
+// the direct edge (the witness path) is intact. The detour's first edge 0→2
+// raises out°(0) to 2, and the degree check refuses the entry.
 TEST(SnapshotDeltaCache, NewDetourAroundLambdaCutForcesRecompute) {
     analysis::SnapshotDeltaCache cache;
     const graph::RoutingSnapshot snap1 = make_snapshot({7, 9}, {{0, 1}, {1, 0}});
     const graph::Digraph g1 = snap1.to_digraph();
     cache.begin_snapshot(snap1, g1);
-    cache.lambda_hook()->store(0, 1, 1, {}, std::vector<int>{0, 0},
-                               std::vector<int>{0, 1});
+    cache.lambda_hook()->store(0, 1, 1, {}, std::vector<int>{0, 0});
     cache.end_snapshot();
 
     // Node 11 joins with 0→2→1 alongside the direct edge: λ(0,1) is now 2.
@@ -294,8 +322,8 @@ TEST(SnapshotDeltaCache, PrunesEntriesWhoseEndpointsDeparted) {
         make_snapshot(addrs, {{0, 1}, {1, 2}, {2, 0}});
     const graph::Digraph g1 = snap1.to_digraph();
     cache.begin_snapshot(snap1, g1);
-    cache.kappa_hook()->store(0, 1, 0, {}, std::vector<int>{0}, {});
-    cache.kappa_hook()->store(1, 2, 0, {}, std::vector<int>{0}, {});
+    cache.kappa_hook()->store(0, 1, 0, {}, std::vector<int>{0});
+    cache.kappa_hook()->store(1, 2, 0, {}, std::vector<int>{0});
     cache.end_snapshot();
     EXPECT_EQ(cache.kappa_stats().entries, 2u);
 
