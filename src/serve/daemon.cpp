@@ -9,9 +9,11 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <ostream>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <streambuf>
 #include <utility>
 
 #include "exec/thread_pool.h"
@@ -38,6 +40,30 @@ namespace {
     return s;
 }
 
+/// Output sink that feeds each write straight into SHA-1, so a snapshot's
+/// canonical bytes are hashed as save_binary produces them, with no
+/// serialized copy in between.
+class Sha1Sink final : public std::streambuf {
+public:
+    [[nodiscard]] util::Sha1Digest finish() noexcept { return sha1_.finish(); }
+
+protected:
+    std::streamsize xsputn(const char* s, std::streamsize n) override {
+        sha1_.update(std::string_view(s, static_cast<std::size_t>(n)));
+        return n;
+    }
+
+    int_type overflow(int_type ch) override {
+        if (traits_type::eq_int_type(ch, traits_type::eof())) return traits_type::not_eof(ch);
+        const char c = traits_type::to_char_type(ch);
+        sha1_.update(std::string_view(&c, 1));
+        return ch;
+    }
+
+private:
+    util::Sha1 sha1_;
+};
+
 }  // namespace
 
 Daemon::Daemon(DaemonConfig config)
@@ -56,9 +82,10 @@ Daemon::Daemon(DaemonConfig config)
 Daemon::~Daemon() { stop(); }
 
 std::string Daemon::content_hash(const graph::RoutingSnapshot& snap) {
-    std::ostringstream out(std::ios::binary);
+    Sha1Sink sink;
+    std::ostream out(&sink);
     snap.save_binary(out);
-    return util::to_hex(util::sha1(out.str()));
+    return util::to_hex(sink.finish());
 }
 
 std::string Daemon::result_key(const std::string& hash) const {

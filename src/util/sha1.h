@@ -35,7 +35,9 @@ public:
     [[nodiscard]] Sha1Digest finish() noexcept;
 
 private:
-    void process_block(const std::uint8_t* block) noexcept;
+    /// Runs the compression function over `nblocks` consecutive 64-byte
+    /// blocks starting at `data`.
+    void compress(const std::uint8_t* data, std::size_t nblocks) noexcept;
 
     std::array<std::uint32_t, 5> h_{};
     std::array<std::uint8_t, 64> buffer_{};

@@ -8,8 +8,10 @@
 // snapshot file. The remaining tests pin the daemon's failure-isolation and
 // resource-bounding behavior: malformed ingest is rejected without damage,
 // the ingest queue applies backpressure, the hot-state LRU evicts and
-// rebuilds from the snapshot spool, and ended socket connections give their
-// threads back.
+// rebuilds from the snapshot spool but never from a spool file that no
+// longer holds the snapshot its name hashes, the content hash that names
+// spool files and result-cache keys is pinned, and ended socket connections
+// give their threads back.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -32,6 +34,7 @@
 #include "serve/daemon.h"
 #include "serve/protocol.h"
 #include "serve/result_cache.h"
+#include "util/sha1.h"
 
 namespace kadsim {
 namespace {
@@ -183,6 +186,22 @@ TEST(ServeDaemon, TextAndBinaryOfSameSnapshotShareContentHash) {
     daemon.stop();
 }
 
+TEST(ServeDaemon, ContentHashIsSha1OfCanonicalBytes) {
+    // The hash names spool files and keys result-cache rows, so a daemon
+    // restarted on an older build's cache finds them only if no snapshot's
+    // hash ever changes. The golden is the SHA-1 of this snapshot's 100
+    // canonical save_binary bytes (coreutils sha1sum of them agrees).
+    std::istringstream text("t 7200000\nn 4\n10: 20 30\n20: 10 40\n30: 40\n40: 10 20 30\n");
+    const auto snap = graph::RoutingSnapshot::parse(text);
+    ASSERT_EQ(to_binary(snap).size(), 100u);
+    EXPECT_EQ(serve::Daemon::content_hash(snap), "6fc6f297f3254a5b7a55c4d0123552533f2cf31f");
+
+    for (const auto& captured : capture_series()) {
+        EXPECT_EQ(serve::Daemon::content_hash(captured),
+                  util::to_hex(util::sha1(to_binary(captured))));
+    }
+}
+
 TEST(ServeDaemon, MalformedIngestIsRejectedWithoutDamage) {
     const auto snaps = capture_series();
     serve::Daemon daemon(test_config());
@@ -271,6 +290,67 @@ TEST(ServeDaemon, EvictedHotStateIsRebuiltFromSpool) {
 
     const auto counters = daemon.counters();
     EXPECT_GE(counters.hot_evictions, 1u);
+    daemon.stop();
+}
+
+TEST(ServeDaemon, ReplacedSpoolFileIsNotServed) {
+    const auto snaps = capture_series();
+    TempDir tmp("daemon_spool_swap");
+    auto config = test_config();
+    config.hot_capacity = 1;  // the second ingest evicts the first
+    config.cache_dir = tmp.path;
+    serve::Daemon daemon(std::move(config));
+    daemon.start();
+
+    // Labels that name no file: the spool is the only way back to A.
+    const std::string a = hash_of(daemon.ingest_bytes(to_text(snaps[0]), "no-such-file-a"));
+    const std::string b = hash_of(daemon.ingest_bytes(to_text(snaps[1]), "no-such-file-b"));
+    ASSERT_TRUE(daemon.handle_request("METRICS " + b).starts_with("OK "));
+    const std::string spool_a = tmp.path + "/snapshots/" + a + ".ksnp";
+    const std::string spool_b = tmp.path + "/snapshots/" + b + ".ksnp";
+    ASSERT_TRUE(std::filesystem::exists(spool_a));
+    ASSERT_TRUE(std::filesystem::exists(spool_b));
+
+    // A pair B answers, so serving B's file for A would answer it too.
+    std::istringstream in(to_text(snaps[1]));
+    const auto g = graph::RoutingSnapshot::parse(in).to_digraph();
+    int u = -1;
+    int v = -1;
+    for (int x = 0; x < g.vertex_count() && u < 0; ++x) {
+        for (int y = 0; y < g.vertex_count(); ++y) {
+            if (x != y && !g.has_edge(x, y)) {
+                u = x;
+                v = y;
+                break;
+            }
+        }
+    }
+    ASSERT_GE(u, 0) << "test graph is complete; no non-adjacent pair";
+    const std::string pair = " " + std::to_string(u) + " " + std::to_string(v);
+    ASSERT_TRUE(daemon.handle_request("PAIR " + b + pair).starts_with("OK kappa="));
+
+    const auto replace_spool_a = [&](const std::string& bytes) {
+        const std::string staged = spool_a + ".staged";
+        {
+            std::ofstream out(staged, std::ios::binary);
+            out << bytes;
+        }
+        std::filesystem::rename(staged, spool_a);
+    };
+    const std::string evicted =
+        "ERR hot state for " + a + " was evicted and no snapshot file remains";
+
+    // A well-formed snapshot, but not the one the name hashes: B's
+    // canonical bytes.
+    std::ifstream b_file(spool_b, std::ios::binary);
+    std::ostringstream b_bytes;
+    b_bytes << b_file.rdbuf();
+    replace_spool_a(b_bytes.str());
+    EXPECT_EQ(daemon.handle_request("PAIR " + a + pair), evicted);
+
+    // A torn spool: A's own bytes, cut short.
+    replace_spool_a(to_binary(snaps[0]).substr(0, 40));
+    EXPECT_EQ(daemon.handle_request("PAIR " + a + pair), evicted);
     daemon.stop();
 }
 
