@@ -83,6 +83,14 @@ struct KademliaConfig {
         if (refresh_interval <= 0) {
             throw std::invalid_argument("refresh_interval must be positive");
         }
+        // Refresh delays are drawn below refresh_spread, and the storage GC
+        // re-arms every storage_expiry / 2, which must not be 0.
+        if (refresh_spread < 1) {
+            throw std::invalid_argument("refresh_spread must be at least 1 ms");
+        }
+        if (storage_expiry < 2) {
+            throw std::invalid_argument("storage_expiry must be at least 2 ms");
+        }
         if (lookup_boost < 0 || lookup_boost > 255) {
             throw std::invalid_argument("lookup_boost must be in [0,255]");
         }

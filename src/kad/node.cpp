@@ -10,18 +10,6 @@ namespace kadsim::kad {
 namespace {
 /// How many of its own contacts a node seeds an iterative lookup with.
 constexpr std::size_t seed_width(int k) { return static_cast<std::size_t>(k); }
-
-/// Per-node storage stays sorted by key, so every find/update is one binary
-/// search (keys are unique: handle_store is find-or-insert). Works on const
-/// and mutable vectors alike.
-template <typename Vec>
-auto find_stored(Vec& storage, const NodeId& key) -> decltype(storage.data()) {
-    const auto pos =
-        std::lower_bound(storage.begin(), storage.end(), key,
-                         [](const auto& obj, const NodeId& k) { return obj.key < k; });
-    if (pos != storage.end() && pos->key == key) return &*pos;
-    return nullptr;
-}
 }  // namespace
 
 // Accessor shorthand: every field lives in the arena, indexed by address_.
@@ -92,9 +80,7 @@ void KademliaNode::crash() {
     }
     lookups.slots.clear();
     lookups.free_slots.clear();
-    auto& storage = a.storage_[address_];
-    storage.clear();
-    storage.shrink_to_fit();
+    a.storage_[address_].release();
     // Clears contacts, replacement candidates and eviction-ping flags, and
     // returns the bucket blocks to the arena free list. Pending-RPC entries
     // are released lazily by their timeout events (ids are unique; nothing
@@ -122,8 +108,7 @@ void KademliaNode::disseminate(const NodeId& key, std::uint64_t value,
 }
 
 std::optional<std::uint64_t> KademliaNode::stored_value(const NodeId& key) const {
-    const auto& storage = arena_->storage_[address_];
-    const StoredObject* obj = find_stored(storage, key);
+    const StoredObject* obj = arena_->storage_[address_].find(key);
     if (obj == nullptr || obj->expires <= arena_->sim_.now()) return std::nullopt;
     return obj->value;
 }
@@ -196,7 +181,7 @@ void KademliaNode::handle_find_value(const Contact& from, std::uint64_t rpc_id,
     if (peer == nullptr) return;
     const Contact me = contact();
 
-    const StoredObject* obj = find_stored(a.storage_[address_], key);
+    const StoredObject* obj = a.storage_[address_].find(key);
     if (obj != nullptr && obj->expires > a.sim_.now()) {
         const std::uint64_t value = obj->value;
         a.network_.transmit(address_, from.address, [peer, rpc_id, me, value] {
@@ -239,19 +224,8 @@ void KademliaNode::handle_store(const Contact& from, std::uint64_t rpc_id,
     if (!alive()) return;
     observe_sender(from);
     ++a.counters_[address_].requests_served;
-    auto& storage = a.storage_[address_];
-    const sim::SimTime expires = a.sim_.now() + a.config_.storage_expiry;
-    const auto pos =
-        std::lower_bound(storage.begin(), storage.end(), key,
-                         [](const StoredObject& obj, const NodeId& k) {
-                             return obj.key < k;
-                         });
-    if (pos != storage.end() && pos->key == key) {
-        pos->value = value;
-        pos->expires = expires;
-    } else {
-        storage.insert(pos, StoredObject{key, value, expires});
-    }
+    const sim::SimTime now = a.sim_.now();
+    a.storage_[address_].put(key, value, now + a.config_.storage_expiry, now);
     KademliaNode* peer = a.node_at(from.address);
     if (peer == nullptr) return;
     const Contact me = contact();
@@ -539,9 +513,7 @@ void KademliaNode::note_lookup_target(const NodeId& target) {
 void KademliaNode::gc_storage() {
     NodeArena& a = *arena_;
     if (!alive()) return;
-    const sim::SimTime now = a.sim_.now();
-    std::erase_if(a.storage_[address_],
-                  [now](const StoredObject& obj) { return obj.expires <= now; });
+    a.storage_[address_].erase_expired(a.sim_.now());
 }
 
 }  // namespace kadsim::kad

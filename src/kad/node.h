@@ -123,12 +123,6 @@ private:
         std::uint32_t lookup_generation = 0;
     };
 
-    struct StoredObject {
-        NodeId key;
-        std::uint64_t value = 0;
-        sim::SimTime expires = 0;
-    };
-
     /// Any message received from a peer is liveness evidence (§4.1).
     void observe_sender(const Contact& from);
     void start_lookup(const NodeId& target, LookupMode mode, LookupDoneFn on_done,

@@ -77,10 +77,8 @@ std::uint64_t NodeArena::memory_bytes() const noexcept {
         bytes += l.slots.capacity() * sizeof(KademliaNode::ActiveLookup);
         bytes += l.free_slots.capacity() * sizeof(std::uint32_t);
     }
-    bytes += storage_.capacity() * sizeof(std::vector<KademliaNode::StoredObject>);
-    for (const auto& s : storage_) {
-        bytes += s.capacity() * sizeof(KademliaNode::StoredObject);
-    }
+    bytes += storage_.capacity() * sizeof(ObjectStore);
+    for (const auto& s : storage_) bytes += s.memory_bytes();
     bytes += buckets_.memory_bytes();
     bytes += pending_.memory_bytes();
     bytes += lookup_arena_.memory_bytes();

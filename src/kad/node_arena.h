@@ -26,6 +26,7 @@
 #define KADSIM_KAD_NODE_ARENA_H
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -110,6 +111,137 @@ private:
     }
 
     std::vector<Slot> slots_;
+};
+
+/// One data object held by a node (paper §4.1 STORE / FIND_VALUE).
+struct StoredObject {
+    NodeId key;
+    std::uint64_t value = 0;
+    sim::SimTime expires = 0;
+};
+
+/// One node's stored objects: a dense, unsorted object array, grown by half
+/// at a time, plus a power-of-two slot table (0 = empty, else object index
+/// + 1) probed linearly from a multiply-shift hash of the key, at load
+/// ≤ 3/4. A find or an update is one slot-table walk and, in the common
+/// case, one object load. Keys are unique: put is an upsert.
+///
+/// Expired objects (expires ≤ now) are unobservable — readers skip them and
+/// a put of the same key overwrites them — so before the store grows either
+/// array it drops them, and a node's footprint follows its live set rather
+/// than every object since the last storage GC. An empty store allocates
+/// nothing.
+class ObjectStore {
+public:
+    /// The object stored under `key`, expired or not, or nullptr.
+    [[nodiscard]] const StoredObject* find(const NodeId& key) const noexcept {
+        if (slots_.empty()) return nullptr;
+        const std::uint32_t slot = slots_[probe(key)];
+        return slot != 0 ? &objects_[slot - 1] : nullptr;
+    }
+
+    /// Stores `value` under `key` until `expires`, rewriting the key's
+    /// object if one is held, expired or not.
+    void put(const NodeId& key, std::uint64_t value, sim::SimTime expires,
+             sim::SimTime now) {
+        std::size_t at = 0;
+        if (!slots_.empty()) {
+            at = probe(key);
+            if (slots_[at] != 0) {
+                StoredObject& obj = objects_[slots_[at] - 1];
+                obj.value = value;
+                obj.expires = expires;
+                return;
+            }
+        }
+        if (objects_.size() == objects_.capacity()) {
+            drop_expired(now);
+            // Grow unless the drop freed over a sixteenth of the array, so
+            // each O(size) drop pass is paid for by the puts it makes room
+            // for.
+            if (objects_.capacity() - objects_.size() <= objects_.capacity() / 16) {
+                grow();
+            } else {
+                rebuild_slots();
+            }
+            at = probe(key);
+        }
+        slots_[at] = static_cast<std::uint32_t>(objects_.size() + 1);
+        objects_.push_back(StoredObject{key, value, expires});
+    }
+
+    /// Erases every object with expires ≤ now (the periodic storage GC).
+    void erase_expired(sim::SimTime now) {
+        if (drop_expired(now)) rebuild_slots();
+    }
+
+    /// Frees both arrays (crash).
+    void release() noexcept {
+        std::vector<StoredObject>().swap(objects_);
+        std::vector<std::uint32_t>().swap(slots_);
+    }
+
+    /// Objects held, expired ones not yet dropped included.
+    [[nodiscard]] std::size_t size() const noexcept { return objects_.size(); }
+
+    /// Capacity-based footprint for the bench counters.
+    [[nodiscard]] std::size_t memory_bytes() const noexcept {
+        return objects_.capacity() * sizeof(StoredObject) +
+               slots_.capacity() * sizeof(std::uint32_t);
+    }
+
+private:
+    static constexpr std::size_t kInitialObjects = 12;
+
+    /// First slot of `key`'s probe walk: multiply-shift over all three limbs,
+    /// so ids that differ only in a high limb still spread over the table.
+    [[nodiscard]] std::size_t home(const NodeId& key) const noexcept {
+        const std::uint64_t h = key.limb(0) * 0x9E3779B97F4A7C15ULL +
+                                key.limb(1) * 0xC2B2AE3D27D4EB4FULL +
+                                key.limb(2) * 0x165667B19E3779F9ULL;
+        return static_cast<std::size_t>(h >> (64 - std::countr_zero(slots_.size())));
+    }
+
+    /// Slot holding `key`, or the empty slot that ends its probe walk.
+    [[nodiscard]] std::size_t probe(const NodeId& key) const noexcept {
+        const std::size_t mask = slots_.size() - 1;
+        std::size_t at = home(key);
+        while (slots_[at] != 0 && objects_[slots_[at] - 1].key != key) {
+            at = (at + 1) & mask;
+        }
+        return at;
+    }
+
+    /// Erases expired objects from the object array only; true if any went.
+    bool drop_expired(sim::SimTime now) {
+        return std::erase_if(objects_, [now](const StoredObject& obj) {
+                   return obj.expires <= now;
+               }) != 0;
+    }
+
+    /// Grows the object array by half (exactly: reserve allocates what it
+    /// is asked for) and the slot table to keep its load ≤ 3/4.
+    void grow() {
+        const std::size_t cap = objects_.capacity();
+        const std::size_t objects = cap == 0 ? kInitialObjects : cap + cap / 2;
+        objects_.reserve(objects);
+        slots_.resize(std::bit_ceil(objects + (objects + 2) / 3));
+        rebuild_slots();
+    }
+
+    /// Re-indexes every object (keys are unique, so no key compares).
+    void rebuild_slots() noexcept {
+        std::fill(slots_.begin(), slots_.end(), 0);
+        const std::size_t mask = slots_.size() - 1;
+        for (std::size_t i = 0; i < objects_.size(); ++i) {
+            std::size_t at = home(objects_[i].key);
+            while (slots_[at] != 0) at = (at + 1) & mask;
+            slots_[at] = static_cast<std::uint32_t>(i + 1);
+        }
+    }
+
+    std::vector<StoredObject> objects_;
+    std::vector<std::uint32_t> slots_;
 };
 
 class NodeArena {
@@ -241,7 +373,7 @@ private:
     std::vector<std::uint32_t> task_gen_;
     std::vector<NodeCounters> counters_;
     std::vector<NodeLookups> lookups_;
-    std::vector<std::vector<KademliaNode::StoredObject>> storage_;
+    std::vector<ObjectStore> storage_;
     /// address * b + bucket → last lookup touching the bucket; allocated
     /// only under RefreshPolicy::kStaleOnly (the only reader).
     std::vector<sim::SimTime> bucket_last_lookup_;

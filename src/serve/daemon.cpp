@@ -164,6 +164,11 @@ void Daemon::stop() {
 // ---------------------------------------------------------------------------
 
 std::string Daemon::ingest_bytes(std::string_view bytes, const std::string& source) {
+    return ingest(bytes, source, std::string());
+}
+
+std::string Daemon::ingest(std::string_view bytes, const std::string& source,
+                           const std::string& file) {
     graph::RoutingSnapshot snap;
     try {
         std::istringstream in(std::string(bytes), std::ios::binary);
@@ -178,7 +183,7 @@ std::string Daemon::ingest_bytes(std::string_view bytes, const std::string& sour
         ++counters_.rejected;
         return "ERR " + source + ": no nodes parsed (empty or unrecognized snapshot)";
     }
-    return ingest_snapshot(std::move(snap), source);
+    return ingest_snapshot(std::move(snap), source, file);
 }
 
 std::string Daemon::ingest_file(const std::string& path) {
@@ -195,11 +200,11 @@ std::string Daemon::ingest_file(const std::string& path) {
         ++counters_.rejected;
         return "ERR read failed: " + path;
     }
-    return ingest_bytes(bytes.str(), path);
+    return ingest(bytes.str(), path, path);
 }
 
 std::string Daemon::ingest_snapshot(graph::RoutingSnapshot snap,
-                                    const std::string& source) {
+                                    const std::string& source, const std::string& file) {
     const std::string hash = content_hash(snap);
     {
         std::lock_guard lock(mutex_);
@@ -209,6 +214,7 @@ std::string Daemon::ingest_snapshot(graph::RoutingSnapshot snap,
             return "OK " + hash;
         }
         it->second.source = source;
+        it->second.file = file;
         order_.push_back(hash);
         ++counters_.ingested;
     }
@@ -519,12 +525,12 @@ std::string Daemon::cmd_metrics(std::string_view id, std::string_view field) {
 std::shared_ptr<Daemon::HotState> Daemon::hydrate(const std::string& hash,
                                                   std::string& error) {
     if (auto hot = hot_.get(hash)) return hot;
-    std::string source;
+    std::string file;
     {
         std::lock_guard lock(mutex_);
-        source = entries_[hash].source;
+        file = entries_[hash].file;
     }
-    for (const std::string& path : {spool_path(hash), source}) {
+    for (const std::string& path : {spool_path(hash), file}) {
         if (path.empty()) continue;
         std::ifstream in(path, std::ios::binary);
         if (!in) continue;

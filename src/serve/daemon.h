@@ -22,7 +22,8 @@
 //     28-column result row) — kept for the daemon's lifetime.
 //   - hot_: finalized witness FlowNetwork + compacted Digraph + snapshot,
 //     LRU-bounded; evicted states are rebuilt on demand from the snapshot
-//     spool (cache_dir/snapshots/<hash>.ksnp) or the original source file.
+//     spool (cache_dir/snapshots/<hash>.ksnp) or, for a snapshot the daemon
+//     read from a file itself (ingest_file, the watch directory), that file.
 //   - result cache: the shared content-addressed on-disk cache
 //     (serve/result_cache.h), keyed by snapshot content hash + analyzer
 //     options, shared with the bench runners.
@@ -126,12 +127,14 @@ public:
     std::string handle_request(std::string_view request,
                                bool* shutdown_after_reply = nullptr);
 
-    /// Parses + enqueues snapshot bytes. `source` labels diagnostics and,
-    /// when it names a readable file, serves as a rebuild source for
-    /// evicted hot state. Returns "OK <hash>" or "ERR <diagnostic>".
+    /// Parses + enqueues snapshot bytes. `source` is only a label, for
+    /// diagnostics and LIST; it is never opened. Without a cache_dir spool,
+    /// such a snapshot cannot be rebuilt once its hot state is evicted.
+    /// Returns "OK <hash>" or "ERR <diagnostic>".
     std::string ingest_bytes(std::string_view bytes, const std::string& source);
 
-    /// ingest_bytes over a file's contents.
+    /// ingest_bytes over a file's contents; the file is also a rebuild
+    /// source for the snapshot's evicted hot state.
     std::string ingest_file(const std::string& path);
 
     [[nodiscard]] DaemonCounters counters() const;
@@ -157,7 +160,8 @@ private:
         core::ResilienceSample sample{};
         std::string row;    ///< ResultCache::format_sample_row bytes
         std::string error;  ///< diagnostic when state == kFailed
-        std::string source;
+        std::string source; ///< label, for diagnostics and LIST
+        std::string file;   ///< rebuild source the daemon read itself, or empty
     };
 
     /// Analysis-ready state kept hot between queries.
@@ -178,7 +182,11 @@ private:
     };
 
     std::string dispatch(std::string_view request, bool* shutdown_after_reply);
-    std::string ingest_snapshot(graph::RoutingSnapshot snap, const std::string& source);
+    /// ingest_bytes, with `file` the rebuild source (empty for none).
+    std::string ingest(std::string_view bytes, const std::string& source,
+                       const std::string& file);
+    std::string ingest_snapshot(graph::RoutingSnapshot snap, const std::string& source,
+                                const std::string& file);
     void analysis_worker();
     void process_job(Job job);
     void watch_loop();
@@ -191,8 +199,8 @@ private:
     std::string resolve_and_wait(std::string_view id, std::string& hash);
 
     /// Hot state for an analyzed snapshot, rebuilding from the spool or the
-    /// source file after eviction. nullptr (with `error` set) if neither
-    /// source is available.
+    /// entry's file after eviction. nullptr (with `error` set) if neither
+    /// holds the snapshot.
     std::shared_ptr<HotState> hydrate(const std::string& hash, std::string& error);
 
     [[nodiscard]] std::string result_key(const std::string& hash) const;

@@ -167,6 +167,22 @@ TEST(Runner, ValidatesConfig) {
     EXPECT_THROW(Runner{bad_kad}, std::invalid_argument);
 }
 
+TEST(Runner, RejectsTimersThatWouldHangOrAbort) {
+    // storage_expiry = 1 would re-arm the storage GC every 0 ms, forever.
+    ScenarioConfig gc_period_zero = small_scenario();
+    gc_period_zero.kad.storage_expiry = 1;
+    EXPECT_THROW(Runner{gc_period_zero}, std::invalid_argument);
+    gc_period_zero.kad.storage_expiry = 2;
+    EXPECT_NO_THROW(Runner{gc_period_zero});
+
+    // refresh_spread = 0 would draw a refresh delay below 0.
+    ScenarioConfig no_spread = small_scenario();
+    no_spread.kad.refresh_spread = 0;
+    EXPECT_THROW(Runner{no_spread}, std::invalid_argument);
+    no_spread.kad.refresh_spread = 1;
+    EXPECT_NO_THROW(Runner{no_spread});
+}
+
 TEST(Runner, DrainToEmptyNetworkIsSafe) {
     ScenarioConfig cfg = small_scenario(10);
     cfg.fault.churn = ChurnSpec{0, 2};

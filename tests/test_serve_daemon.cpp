@@ -9,7 +9,9 @@
 // resource-bounding behavior: malformed ingest is rejected without damage,
 // the ingest queue applies backpressure, the hot-state LRU evicts and
 // rebuilds from the snapshot spool but never from a spool file that no
-// longer holds the snapshot its name hashes, the content hash that names
+// longer holds the snapshot its name hashes, only files the daemon read
+// itself are rebuild sources (a socket client's label is never opened), the
+// content hash that names
 // spool files and result-cache keys is pinned, and ended socket connections
 // give their threads back.
 #include <gtest/gtest.h>
@@ -25,10 +27,12 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/analyzer.h"
 #include "flow/mincut.h"
+#include "flow/vertex_connectivity.h"
 #include "graph/snapshot.h"
 #include "scen/runner.h"
 #include "serve/daemon.h"
@@ -108,6 +112,17 @@ struct TempDir {
     ~TempDir() { std::filesystem::remove_all(path); }
     std::string path;
 };
+
+/// The first ordered pair (u, v), u != v, with no edge u -> v; (-1, -1) if
+/// the graph is complete.
+std::pair<int, int> non_adjacent_pair(const graph::Digraph& g) {
+    for (int u = 0; u < g.vertex_count(); ++u) {
+        for (int v = 0; v < g.vertex_count(); ++v) {
+            if (u != v && !g.has_edge(u, v)) return {u, v};
+        }
+    }
+    return {-1, -1};
+}
 
 TEST(ServeDaemon, MetricsRowsAreByteIdenticalToOfflineAnalyzer) {
     const auto snaps = capture_series();
@@ -268,17 +283,7 @@ TEST(ServeDaemon, EvictedHotStateIsRebuiltFromSpool) {
     std::istringstream in(to_text(snaps[0]));
     const auto parsed = graph::RoutingSnapshot::parse(in);
     const auto g = parsed.to_digraph();
-    int u = -1;
-    int v = -1;
-    for (int a = 0; a < g.vertex_count() && u < 0; ++a) {
-        for (int b = 0; b < g.vertex_count(); ++b) {
-            if (a != b && !g.has_edge(a, b)) {
-                u = a;
-                v = b;
-                break;
-            }
-        }
-    }
+    const auto [u, v] = non_adjacent_pair(g);
     ASSERT_GE(u, 0) << "test graph is complete; no non-adjacent pair";
     const auto offline_cut = flow::min_vertex_cut(g, u, v);
 
@@ -314,17 +319,7 @@ TEST(ServeDaemon, ReplacedSpoolFileIsNotServed) {
     // A pair B answers, so serving B's file for A would answer it too.
     std::istringstream in(to_text(snaps[1]));
     const auto g = graph::RoutingSnapshot::parse(in).to_digraph();
-    int u = -1;
-    int v = -1;
-    for (int x = 0; x < g.vertex_count() && u < 0; ++x) {
-        for (int y = 0; y < g.vertex_count(); ++y) {
-            if (x != y && !g.has_edge(x, y)) {
-                u = x;
-                v = y;
-                break;
-            }
-        }
-    }
+    const auto [u, v] = non_adjacent_pair(g);
     ASSERT_GE(u, 0) << "test graph is complete; no non-adjacent pair";
     const std::string pair = " " + std::to_string(u) + " " + std::to_string(v);
     ASSERT_TRUE(daemon.handle_request("PAIR " + b + pair).starts_with("OK kappa="));
@@ -352,6 +347,67 @@ TEST(ServeDaemon, ReplacedSpoolFileIsNotServed) {
     replace_spool_a(to_binary(snaps[0]).substr(0, 40));
     EXPECT_EQ(daemon.handle_request("PAIR " + a + pair), evicted);
     daemon.stop();
+}
+
+/// Ingests snapshot A through `ingest_a`, where `file` holds A's own
+/// bytes, then B, into a daemon with one hot slot and no cache directory,
+/// and returns the PAIR response for A's first non-adjacent pair after B's
+/// analysis evicted A (`kappa` gets the offline answer).
+template <typename IngestA>
+std::string pair_after_eviction(IngestA ingest_a, const char* tag, int& kappa,
+                                std::string& hash_a) {
+    const auto snaps = capture_series();
+    TempDir tmp(tag);
+    const std::string file = tmp.path + "/a.txt";
+    const std::string a_bytes = to_text(snaps[0]);
+    {
+        std::ofstream out(file, std::ios::binary);
+        out << a_bytes;
+    }
+    auto config = test_config();
+    config.hot_capacity = 1;  // the second ingest evicts the first
+    serve::Daemon daemon(std::move(config));
+    daemon.start();
+
+    hash_a = hash_of(ingest_a(daemon, file, a_bytes));
+    const std::string b = hash_of(daemon.ingest_bytes(to_text(snaps[1]), "b"));
+    EXPECT_TRUE(daemon.handle_request("METRICS " + b).starts_with("OK "));
+
+    std::istringstream in(a_bytes);
+    const auto g = graph::RoutingSnapshot::parse(in).to_digraph();
+    const auto [u, v] = non_adjacent_pair(g);
+    EXPECT_GE(u, 0) << "test graph is complete; no non-adjacent pair";
+    kappa = flow::pair_vertex_connectivity(g, u, v);
+    std::string response = daemon.handle_request(
+        "PAIR " + hash_a + " " + std::to_string(u) + " " + std::to_string(v));
+    EXPECT_GE(daemon.counters().hot_evictions, 1u);
+    daemon.stop();
+    return response;
+}
+
+TEST(ServeDaemon, SocketLabelIsNotARebuildSource) {
+    // A socket client's label names a file holding A's bytes; the daemon
+    // never opened it, so it must not read it to rebuild A.
+    int kappa = -1;
+    std::string a;
+    const std::string response = pair_after_eviction(
+        [](serve::Daemon& daemon, const std::string& file, const std::string& bytes) {
+            return daemon.handle_request("INGEST " + file + "\n" + bytes);
+        },
+        "daemon_label", kappa, a);
+    EXPECT_EQ(response, "ERR hot state for " + a + " was evicted and no snapshot file remains");
+}
+
+TEST(ServeDaemon, IngestedFileIsARebuildSource) {
+    int kappa = -1;
+    std::string a;
+    const std::string response = pair_after_eviction(
+        [](serve::Daemon& daemon, const std::string& file, const std::string&) {
+            return daemon.ingest_file(file);
+        },
+        "daemon_file", kappa, a);
+    EXPECT_TRUE(response.starts_with("OK kappa=" + std::to_string(kappa) + " "))
+        << response << " vs offline kappa " << kappa;
 }
 
 TEST(ServeDaemon, SecondDaemonAnswersFromSharedResultCache) {
